@@ -25,15 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 from typing import Optional
 
-from .linalg import LatticeBasis, homogeneous_lp_witness
+from .linalg import InternalContradiction, LatticeBasis, homogeneous_lp_witness
 from .monoid import (
     FactorizationVector,
     Grading,
     MonoidPresentation,
     ensure_normalized,
+    graded_walk,
 )
 
 FINITENESS_NOTE = (
@@ -164,7 +165,7 @@ def classify(
     """Full exact classification of a validated, atoms-only presentation."""
     ensure_normalized(presentation, grading)
 
-    basis = presentation.kernel()
+    basis = presentation.integer_form.kernel
     k = presentation.atom_count
     rank = basis.rank
     sigmas = [sum(v) for v in basis.vectors]
@@ -189,7 +190,7 @@ def classify(
         if short_refutation is not None:
             witnesses[f"atom{i}_not_purely_short"] = short_refutation
         if long_refutation is None and short_refutation is None:
-            raise AssertionError(
+            raise InternalContradiction(
                 f"atom {i} occurs in the kernel but refutes both purity systems"
             )
         if long_refutation is None:
@@ -212,7 +213,8 @@ def classify(
                 break
     if not is_lfm:
         balanced = _balanced_kernel_vector(basis)
-        assert balanced is not None, "not length factorial but no balanced relation"
+        if balanced is None or sum(balanced) != 0:
+            raise InternalContradiction("not length factorial but no balanced relation")
         witnesses["not_lfm"] = balanced
 
     return ClassificationReport(
@@ -266,46 +268,24 @@ def relation_evidence(
     is reported (long or lexicographically larger side first).  Relations are
     sorted by grade, then element, then left side.
     """
-    h = ensure_normalized(presentation, grading)
-    bound = Fraction(bound)
-    gens = presentation.generators
-    k = len(gens)
-    d = presentation.ambient_dim
-    grades = [h.grade(g) for g in gens]
+    ensure_normalized(presentation, grading)
+    form = presentation.integer_form
+    unit, _, grades = form.integer_grading(grading)
+    groups: dict[tuple[int, ...], list[FactorizationVector]] = {}
+    for z, value in graded_walk(form.columns, grades, floor(Fraction(bound) * unit), False):
+        groups.setdefault(value, []).append(tuple(z))
 
-    groups: dict[tuple[Fraction, ...], list[FactorizationVector]] = {}
-    acc = [0] * k
-    value = [Fraction(0)] * d
-
-    def walk(idx: int, budget: Fraction) -> None:
-        if idx == k:
-            groups.setdefault(tuple(value), []).append(tuple(acc))
-            return
-        g = gens[idx]
-        cap = int(budget / grades[idx])
-        for m in range(cap + 1):
-            acc[idx] = m
-            walk(idx + 1, budget - m * grades[idx])
-            for i in range(d):
-                value[i] += g[i]
-        for i in range(d):
-            value[i] -= (cap + 1) * g[i]
-        acc[idx] = 0
-
-    walk(0, bound)
-
+    # Scaled grades and elements sort as the rational ones do.
     found: list[tuple] = []
     for element, members in groups.items():
         if len(members) < 2:
             continue
-        grade = h.grade(element)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                z1, z2 = members[a], members[b]
+        grade = sum(m * g for m, g in zip(members[0], grades))
+        for a, z1 in enumerate(members):
+            for z2 in members[a + 1 :]:
                 if any(x and y for x, y in zip(z1, z2)):
                     continue
-                if (sum(z1), z1) < (sum(z2), z2):
-                    z1, z2 = z2, z1
-                found.append((grade, element, FactorizationRelation(z1, z2)))
+                pair = (z2, z1) if (sum(z1), z1) < (sum(z2), z2) else (z1, z2)
+                found.append((grade, element, FactorizationRelation(*pair)))
     found.sort(key=lambda item: (item[0], item[1], item[2].left))
     return [rel for _, _, rel in found]

@@ -30,6 +30,10 @@ class DimensionMismatch(ValueError):
     """A vector or functional does not have the expected length."""
 
 
+class InternalContradiction(RuntimeError):
+    """A certificate failed its own check: a defect in this package, not bad input."""
+
+
 def parse_rational(value: Rational) -> Fraction:
     """Parse a rational given as ``Fraction``, ``int``, or a string "p/q" / "n"."""
     if isinstance(value, Fraction):
@@ -37,7 +41,10 @@ def parse_rational(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise ValueError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -299,8 +306,8 @@ def homogeneous_lp_witness(
     scale = math.lcm(*(q.denominator for q in z)) if z else 1
     witness = tuple(int(q * scale) for q in z)
     # Positive scaling preserves every constraint (strict stays >= 1 since scale >= 1).
-    assert dot(strict_q, witness) >= 1
-    assert all(dot(n, witness) <= 0 for n in nonstrict_q)
+    if dot(strict_q, witness) < 1 or any(dot(n, witness) > 0 for n in nonstrict_q):
+        raise InternalContradiction(f"LP witness {witness} violates the system it solves")
     return witness
 
 

@@ -10,13 +10,16 @@ element are exponent vectors over the generators and are enumerated exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import (
     DimensionMismatch,
     IntMatrix,
+    IntVector,
+    InternalContradiction,
     LatticeBasis,
     dot,
     format_rational,
@@ -103,9 +106,7 @@ class MonoidPresentation:
     @classmethod
     def from_generators(cls, generators: Sequence[Iterable], label: Optional[str] = None) -> "MonoidPresentation":
         gens = tuple(as_element(g) for g in generators)
-        if not gens:
-            raise InvalidGenerator("a presentation needs at least one generator")
-        return cls(len(gens[0]), gens, label)
+        return cls(len(gens[0]) if gens else 1, gens, label)
 
     @classmethod
     def from_values(cls, values: Sequence, label: Optional[str] = None) -> "MonoidPresentation":
@@ -116,21 +117,29 @@ class MonoidPresentation:
     def atom_count(self) -> int:
         return len(self.generators)
 
+    def row_scales(self) -> tuple[int, ...]:
+        """The least common denominator of each coordinate row."""
+        return tuple(
+            math.lcm(*(g[i].denominator for g in self.generators))
+            for i in range(self.ambient_dim)
+        )
+
     def integer_matrix(self) -> IntMatrix:
-        """Generators as columns, with each coordinate row scaled integral.
+        """Generators as columns, with each coordinate row times its row scale.
 
         Scaling a coordinate by a positive integer does not change which
         exponent vectors annihilate the generators, so the kernel lattice of
         this matrix is exactly the relation lattice of the presentation.
         """
-        rows = []
-        for i in range(self.ambient_dim):
-            den = math.lcm(*(g[i].denominator for g in self.generators))
-            rows.append([int(g[i] * den) for g in self.generators])
-        return IntMatrix.from_rows(rows)
+        return IntMatrix.from_rows(
+            [[g[i].numerator * (s // g[i].denominator) for g in self.generators]
+             for i, s in enumerate(self.row_scales())]
+        )
 
-    def kernel(self) -> LatticeBasis:
-        return integer_kernel(self.integer_matrix())
+    @cached_property
+    def integer_form(self) -> "IntegerForm":
+        """The validated integer form, built on first use and kept."""
+        return IntegerForm(self)
 
     def evaluate(self, exponents: Sequence[int]) -> QVector:
         """The element sum_i exponents[i] * generator[i]."""
@@ -156,8 +165,12 @@ class MonoidPresentation:
     def from_json_dict(cls, data: dict) -> "MonoidPresentation":
         if not isinstance(data, dict) or "dim" not in data or "generators" not in data:
             raise ValueError("presentation JSON needs 'dim' and 'generators' fields")
-        dim = int(data["dim"])
-        gens = tuple(as_element(g) for g in data["generators"])
+        dim, rows = data["dim"], data["generators"]
+        if type(dim) is not int:
+            raise ValueError(f"'dim' must be an integer, got {dim!r}")
+        if not isinstance(rows, list) or not all(isinstance(g, list) for g in rows):
+            raise ValueError("'generators' must be a list of lists of rationals")
+        gens = tuple(as_element(g) for g in rows)
         for g in gens:
             if len(g) != dim:
                 raise InvalidGenerator(f"generator {g} does not match dim {dim}")
@@ -183,22 +196,17 @@ def validate_presentation(presentation: MonoidPresentation) -> Grading:
             raise InvalidGenerator(f"generator {i} is the zero vector")
 
     d = presentation.ambient_dim
-    ones = tuple(Fraction(1) for _ in range(d))
-    weights: Optional[QVector] = None
-    if all(dot(ones, g) > 0 for g in presentation.generators):
-        weights = ones
+    if all(sum(g) > 0 for g in presentation.generators):
+        weights = [Fraction(1)] * d
     else:
         constraints = [(g, Fraction(1)) for g in presentation.generators]
-        solution = solve_inequalities(constraints, d)
-        if solution is not None:
-            weights = tuple(solution)
-
+        weights = solve_inequalities(constraints, d)
     if weights is not None:
         low = min(dot(weights, g) for g in presentation.generators)
         return Grading(tuple(w / low for w in weights))
 
     # No positive grading exists, so a nonnegative kernel vector must.
-    basis = presentation.kernel()
+    basis = integer_kernel(presentation.integer_matrix())
     k = presentation.atom_count
     nonneg = [tuple(-1 if j == i else 0 for j in range(k)) for i in range(k)]
     for i in range(k):
@@ -206,7 +214,94 @@ def validate_presentation(presentation: MonoidPresentation) -> Grading:
         witness = homogeneous_lp_witness(basis, strict, nonneg)
         if witness is not None:
             raise NotPointed(witness)
-    raise AssertionError("no grading found and no nonnegative kernel witness either")
+    raise InternalContradiction("no grading found and no nonnegative kernel witness either")
+
+
+# ---------------------------------------------------------------------------
+# the integer form and the graded walk
+# ---------------------------------------------------------------------------
+
+
+class IntegerForm:
+    """A validated presentation in integers, built once on first use.
+
+    Coordinate row i times ``scales[i]`` makes every generator an integer
+    column.  A grading h becomes integer weights u on the scaled coordinates
+    with u . X = c * h(x) for one integer c > 0.  Both scalings are positive,
+    so they keep every relation, factorization and order of elements.
+    """
+
+    def __init__(self, presentation: MonoidPresentation):
+        self.grading = validate_presentation(presentation)
+        self.scales = presentation.row_scales()
+        self.matrix = presentation.integer_matrix()
+        self.columns = tuple(self.matrix.column(j) for j in range(self.matrix.cols))
+        self.unit, self.weights, self.grades = self.integer_grading(self.grading)
+
+    def integer_grading(self, grading: Optional[Grading]) -> tuple[int, IntVector, IntVector]:
+        """(c, u, generator grades) of ``grading``; of the validated one for None."""
+        if grading is None:
+            return self.unit, self.weights, self.grades
+        ratios = [Fraction(w) / s for w, s in zip(grading.weights, self.scales, strict=True)]
+        c = math.lcm(*(q.denominator for q in ratios))
+        weights = tuple(q.numerator * (c // q.denominator) for q in ratios)
+        grades = tuple(sum(u * x for u, x in zip(weights, col)) for col in self.columns)
+        if min(grades) <= 0:
+            raise ValueError("a grading must be positive on every generator")
+        return c, weights, grades
+
+    @cached_property
+    def kernel(self) -> LatticeBasis:
+        return integer_kernel(self.matrix)
+
+    @cached_property
+    def atom_defects(self) -> tuple[Optional[FactorizationVector], ...]:
+        """Per generator, its lexicographically first decomposition of length
+        >= 2, or None when it is an atom.  The walk stops at that first one."""
+        return tuple(
+            next((tuple(z) for z, value in graded_walk(self.columns, self.grades, grade, True)
+                  if value == target and sum(z) >= 2), None)
+            for target, grade in zip(self.columns, self.grades)
+        )
+
+
+def graded_walk(
+    columns: Sequence[IntVector], grades: Sequence[int], budget: int, exact: bool
+) -> Iterator[tuple[list[int], IntVector]]:
+    """Yield (z, sum_j z_j * columns[j]) for every exponent vector z of grade
+    <= budget, or == budget when ``exact``, in lexicographic order.
+
+    The grades are positive integers and cap every exponent at
+    budget // grades[j]; in an exact walk the last exponent is whatever grade
+    is left, if it divides evenly.  ``z`` is the walk's own list, changed by
+    the next step, so a caller copies what it keeps.
+    """
+    if budget < 0:
+        return
+    last = len(columns) - 1
+    z = [0] * len(columns)
+    value = [0] * len(columns[0])
+    last_column, last_grade = columns[last], grades[last]
+    left = budget
+    while True:
+        m, rest = divmod(left, last_grade)
+        for m in (() if rest else (m,)) if exact else range(m + 1):
+            z[last] = m
+            yield z, tuple(v + m * c for v, c in zip(value, last_column))
+        # the lexicographic successor of the prefix z[:last] within the budget
+        i = last - 1
+        while i >= 0 and left < grades[i]:
+            left += z[i] * grades[i]
+            for r, c in enumerate(columns[i]):
+                value[r] -= z[i] * c
+            z[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        z[i] += 1
+        left -= grades[i]
+        for r, c in enumerate(columns[i]):
+            value[r] += c
 
 
 # ---------------------------------------------------------------------------
@@ -229,39 +324,16 @@ def enumerate_factorizations(
     x = as_element(element)
     if len(x) != presentation.ambient_dim:
         raise DimensionMismatch("element does not live in the ambient space")
-    h = grading or validate_presentation(presentation)
-    gens = presentation.generators
-    k = len(gens)
-    grades = [h.grade(g) for g in gens]
-    budget = h.grade(x)
-    results: list[FactorizationVector] = []
-    if budget < 0:
-        return ()
-
-    remaining = list(x)
-    acc = [0] * k
-
-    def descend(idx: int, budget: Fraction) -> None:
-        if idx == k:
-            if all(c == 0 for c in remaining):
-                results.append(tuple(acc))
-            return
-        g = gens[idx]
-        cap = int(budget / grades[idx])
-        # take the largest multiplicity first, then give back one copy at a time
-        for i in range(presentation.ambient_dim):
-            remaining[i] -= cap * g[i]
-        for m in range(cap, -1, -1):
-            acc[idx] = m
-            descend(idx + 1, budget - m * grades[idx])
-            for i in range(presentation.ambient_dim):
-                remaining[i] += g[i]
-        for i in range(presentation.ambient_dim):
-            remaining[i] -= g[i]
-        acc[idx] = 0
-
-    descend(0, budget)
-    return tuple(sorted(results))
+    form = presentation.integer_form
+    _, weights, grades = form.integer_grading(grading)
+    scaled = [c * s for c, s in zip(x, form.scales)]
+    if any(q.denominator != 1 for q in scaled):
+        return ()  # a coordinate off the scaled integer grid: not in the monoid
+    target = tuple(q.numerator for q in scaled)
+    budget = sum(u * t for u, t in zip(weights, target))
+    return tuple(
+        tuple(z) for z, value in graded_walk(form.columns, grades, budget, True) if value == target
+    )
 
 
 def length_set(
@@ -290,14 +362,14 @@ def atomic_divisors(
 # ---------------------------------------------------------------------------
 
 
-def _atom_defect(
-    presentation: MonoidPresentation, index: int, grading: Grading
-) -> Optional[FactorizationVector]:
-    """A length >= 2 decomposition of generator ``index``, or None if atomic."""
-    for z in enumerate_factorizations(presentation, presentation.generators[index], grading):
-        if sum(z) >= 2:
-            return z
-    return None
+def _duplicates(presentation: MonoidPresentation) -> dict[int, int]:
+    """Index of every repeated generator -> index of its first occurrence."""
+    first: dict[QVector, int] = {}
+    return {
+        i: first[g]
+        for i, g in enumerate(presentation.generators)
+        if first.setdefault(g, i) != i
+    }
 
 
 def normalize_atoms(presentation: MonoidPresentation, mode: str = "auto-reduce") -> MonoidPresentation:
@@ -310,21 +382,13 @@ def normalize_atoms(presentation: MonoidPresentation, mode: str = "auto-reduce")
     """
     if mode not in ("auto-reduce", "reject"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    h = validate_presentation(presentation)
-    drop: set[int] = set()
-    seen: dict[QVector, int] = {}
-    for i, g in enumerate(presentation.generators):
-        if g in seen:
-            if mode == "reject":
-                raise DuplicateGenerator(i, seen[g])
-            drop.add(i)
-        else:
-            seen[g] = i
-    for i in range(presentation.atom_count):
-        if i in drop:
-            continue
-        witness = _atom_defect(presentation, i, h)
-        if witness is not None:
+    form = presentation.integer_form
+    duplicates = _duplicates(presentation)
+    if duplicates and mode == "reject":
+        raise DuplicateGenerator(*next(iter(duplicates.items())))
+    drop = set(duplicates)
+    for i, witness in enumerate(form.atom_defects):
+        if witness is not None and i not in drop:
             if mode == "reject":
                 raise NotAnAtom(i, witness)
             drop.add(i)
@@ -340,18 +404,14 @@ def ensure_normalized(
     presentation: MonoidPresentation, grading: Optional[Grading] = None
 ) -> Grading:
     """Validate and demand that the presentation lists exactly the atoms."""
-    h = grading or validate_presentation(presentation)
-    seen: dict[QVector, int] = {}
-    for i, g in enumerate(presentation.generators):
-        if g in seen:
-            raise NotNormalized(
-                f"generator {i} duplicates generator {seen[g]}; normalize first"
-            )
-        seen[g] = i
-    for i in range(presentation.atom_count):
-        witness = _atom_defect(presentation, i, h)
+    form = presentation.integer_form
+    for i, original in _duplicates(presentation).items():
+        raise NotNormalized(
+            f"generator {i} duplicates generator {original}; normalize first"
+        )
+    for i, witness in enumerate(form.atom_defects):
         if witness is not None:
             raise NotNormalized(
                 f"generator {i} is not an atom (witness {witness}); normalize first"
             )
-    return h
+    return grading or form.grading

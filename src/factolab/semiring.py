@@ -32,7 +32,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .classify import FactorizationRelation
-from .linalg import Rational, format_rational, parse_rational
+from .linalg import InternalContradiction, Rational, format_rational, parse_rational
 from .monoid import MonoidPresentation
 
 __all__ = [
@@ -56,10 +56,6 @@ __all__ = [
 
 class InvalidPair(ValueError):
     """The requested generator pair does not admit the construction."""
-
-
-class InternalContradiction(RuntimeError):
-    """A property the construction guarantees failed to verify."""
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +499,11 @@ def case1_relation(
     """
     if presentation.ambient_dim != 1:
         raise ValueError("monomial atoms need a one-dimensional monoid")
+    k = presentation.atom_count
+    if not (0 <= i < k and 0 <= j < k):
+        raise ValueError(f"atom indices must lie in 0..{k - 1}, got {i} and {j}")
     if i == j:
         raise ValueError("the relation needs two distinct atoms")
-    k = presentation.atom_count
     q_i = presentation.generators[i][0]
     q_j = presentation.generators[j][0]
     if q_i == q_j:

@@ -133,3 +133,47 @@ def dense_divide(f: Sequence, g: Sequence) -> Optional[list]:
             for j, gc in enumerate(g):
                 r[i + j] -= coef * gc
     return q if all(c == 0 for c in r) else None
+
+
+# ---------------------------------------------------------------------------
+# Box oracles for factorizations and relations (rational generators)
+# ---------------------------------------------------------------------------
+
+
+def box_evaluate(gens: Sequence[Sequence[Fraction]], z: Sequence[int]) -> tuple:
+    return tuple(sum(m * g[i] for m, g in zip(z, gens)) for i in range(len(gens[0])))
+
+
+def box_factorizations(gens, x, caps) -> list[tuple[int, ...]]:
+    """Every z in the box prod_j [0, caps[j]] with sum_j z_j g_j = x, in
+    lexicographic order (the order ``itertools.product`` yields)."""
+    x = tuple(x)
+    return [
+        z
+        for z in itertools.product(*(range(c + 1) for c in caps))
+        if box_evaluate(gens, z) == x
+    ]
+
+
+def box_relations(gens, weight, bound) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Irredundant relations (left, right) among all z with weight(z) <= bound.
+
+    ``weight`` gives each generator a positive weight.  Vectors of the whole
+    box are grouped by the element they evaluate to; every support-disjoint
+    pair is oriented long (or lexicographically larger) side first and the
+    pairs are sorted by weight, element, left and right side.
+    """
+    w = [weight(g) for g in gens]
+    caps = [int(bound // wj) for wj in w]
+    groups: dict[tuple, list] = {}
+    for z in itertools.product(*(range(c + 1) for c in caps)):
+        if sum(m * wj for m, wj in zip(z, w)) <= bound:
+            groups.setdefault(box_evaluate(gens, z), []).append(z)
+    found = []
+    for element, members in groups.items():
+        for z1, z2 in itertools.combinations(members, 2):
+            if any(a and b for a, b in zip(z1, z2)):
+                continue
+            left, right = sorted((z1, z2), key=lambda z: (sum(z), z), reverse=True)
+            found.append((sum(m * wj for m, wj in zip(z1, w)), element, left, right))
+    return [(left, right) for _, _, left, right in sorted(found)]

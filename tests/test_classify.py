@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from factolab.classify import (
     pure_atom_labels,
     relation_evidence,
 )
-from factolab.linalg import LatticeBasis, homogeneous_lp_feasible
+from factolab.linalg import InternalContradiction, LatticeBasis, homogeneous_lp_feasible
 from factolab.monoid import (
     MonoidPresentation,
     NotNormalized,
@@ -340,3 +341,15 @@ def test_random_presentations_labels_vs_evidence():
         report = labels_consistent_with_evidence(p, 18)
         assert_report_invariants(report)
         done += 1
+
+
+def test_classify_certificate_checks_raise(monkeypatch):
+    # the package attribute factolab.classify is the function, not the module
+    module = importlib.import_module("factolab.classify")
+    p345 = numerical(3, 4, 5)
+    monkeypatch.setattr(module, "_balanced_kernel_vector", lambda basis: (1, 0, 0))
+    with pytest.raises(InternalContradiction, match="no balanced relation"):
+        classify(p345)
+    monkeypatch.setattr(module, "homogeneous_lp_witness", lambda *args: None)
+    with pytest.raises(InternalContradiction, match="refutes both purity systems"):
+        classify(p345)

@@ -156,6 +156,30 @@ def test_not_pointed_presentation(tmp_path):
     assert "pointed" in result.stderr
 
 
+def assert_clean_error(result):
+    assert result.returncode == 1, result.stderr
+    assert any(line.startswith("error:") for line in result.stderr.splitlines())
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": 1, "generators": [["1/0"], ["3"]]},
+        {"dim": 1, "generators": 5},
+        {"dim": 1, "generators": [2, 3]},
+        {"dim": 2.7, "generators": [["1", "0"], ["0", "1"]]},
+        {"dim": True, "generators": [["2"], ["3"]]},
+    ],
+    ids=["zero-denominator", "generators-not-a-list", "generator-not-a-list",
+         "float-dim", "bool-dim"],
+)
+def test_malformed_presentation_exits_1(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert_clean_error(run_cli("analyze", str(path)))
+
+
 def test_unknown_subcommand_fails():
     result = run_cli("no-such-command")
     assert result.returncode == 2  # argparse usage error
@@ -312,6 +336,11 @@ def test_case1(puiseux, capsys):
 def test_case1_rejects_same_atom(puiseux):
     result = run_cli("case1", puiseux, "0", "0")
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize("j", ["5", "-1"])
+def test_case1_rejects_bad_atom_index(p23, j):
+    assert_clean_error(run_cli("case1", p23, "0", j))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import factolab.linalg as linalg
 from factolab.linalg import (
     DimensionMismatch,
     IntMatrix,
+    InternalContradiction,
     LatticeBasis,
     dot,
     format_rational,
@@ -50,6 +54,11 @@ def test_rational_num_den_rejects_nonpositive():
 def test_rational_round_trip():
     for text in ["2/3", "-7/5", "4", "0", "-3"]:
         assert format_rational(parse_rational(text)) == text
+
+
+def test_parse_rational_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +152,28 @@ def test_lp_witness_is_integral_and_satisfies_constraints():
     assert dot((0, 1), z) >= 1
     assert dot((1, 1), z) <= 0
     assert in_lattice(basis.vectors, z)
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1)])
+def test_lp_witness_check_raises_on_a_bad_point(monkeypatch, t):
+    # t = 0 gives z = 0, which misses strict >= 1; t = 1 gives z = (3, -2),
+    # whose coordinate sum 1 breaks the nonstrict sum <= 0.
+    monkeypatch.setattr(linalg, "solve_inequalities", lambda rows, nvars: [t])
+    with pytest.raises(InternalContradiction):
+        homogeneous_lp_witness(LatticeBasis(2, ((3, -2),)), (1, 0), [(1, 1)])
+
+
+def test_certificate_check_survives_optimize_flag():
+    code = (
+        "import factolab.linalg as L\n"
+        "L.solve_inequalities = lambda rows, nvars: [0]\n"
+        "try:\n"
+        "    L.homogeneous_lp_witness(L.LatticeBasis(2, ((3, -2),)), (1, 0), [(1, 1)])\n"
+        "except L.InternalContradiction:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert result.stdout.strip() == "raised", result.stderr
 
 
 def rank_one_oracle(vector, strict, nonstrict):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from factolab.classify import relation_evidence
 from factolab.linalg import dot
 from factolab.monoid import (
     DuplicateGenerator,
@@ -25,6 +28,7 @@ from factolab.monoid import (
     normalize_atoms,
     validate_presentation,
 )
+from helpers import box_evaluate, box_factorizations, box_relations
 
 
 def numerical(*values, label=None):
@@ -241,6 +245,87 @@ def test_factorizations_independent_of_grading():
     h2 = Grading((Fraction(5),))
     for x in ([6], [12], [7], [1]):
         assert enumerate_factorizations(p, x, h1) == enumerate_factorizations(p, x, h2)
+
+
+# ---------------------------------------------------------------------------
+# the graded walk against the box oracles
+# ---------------------------------------------------------------------------
+
+WALK_POOL = tuple(Fraction(q) for q in ("-1", "0", "1/2", "1", "2/3", "3/2", "2"))
+BOX_LIMIT = 3000
+
+
+def random_walk_generators(rng):
+    """2-4 generators with coordinate sum in [1, 3], Puiseux entries and
+    negative coordinates, sometimes with one generator repeated or the sum of
+    two added."""
+    d = rng.choice((1, 1, 2, 3))
+    k = rng.randint(2, 4)
+    gens = []
+    while len(gens) < k:
+        g = tuple(rng.choice(WALK_POOL) for _ in range(d))
+        if 1 <= sum(g) <= 3:
+            gens.append(g)
+    if rng.random() < 0.3:
+        gens.insert(rng.randrange(k + 1), rng.choice(gens))
+    if rng.random() < 0.3:
+        g, h = rng.sample(gens, 2)
+        gens.insert(rng.randrange(len(gens) + 1), tuple(a + b for a, b in zip(g, h)))
+    return gens
+
+
+def test_walk_matches_box_oracles():
+    """Factorizations, atom witnesses and relation evidence against raw box
+    searches bounded by the coordinate sum, which is positive on every
+    generator here."""
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(40):
+        gens = random_walk_generators(rng)
+        p = MonoidPresentation.from_generators(gens)
+        d = len(gens[0])
+        coordinate_sum = Grading(tuple(Fraction(1) for _ in range(d)))
+
+        def caps(x):
+            return [math.floor(sum(x) / sum(g)) for g in gens]
+
+        z0 = [rng.randint(0, 2) for _ in gens]
+        x = box_evaluate(gens, z0)
+        below = tuple(a - b for a, b in zip(x, rng.choice(gens)))
+        off_grid = (x[0] + Fraction(1, 7),) + x[1:]
+        negative = tuple(-c for c in gens[0])
+        for y in (x, below, off_grid, negative):
+            if math.prod(c + 1 for c in caps(y)) > BOX_LIMIT:
+                continue
+            want = box_factorizations(gens, y, caps(y))
+            assert list(enumerate_factorizations(p, y)) == want, (gens, y)
+            assert list(enumerate_factorizations(p, y, coordinate_sum)) == want
+            checked += 1
+        assert enumerate_factorizations(p, off_grid) == ()
+
+        # the atom check keeps the lexicographically first long decomposition
+        witness = [
+            next((z for z in box_factorizations(gens, g, caps(g)) if sum(z) >= 2), None)
+            for g in gens
+        ]
+        repeated = {i for i, g in enumerate(gens) if g in gens[:i]}
+        keep = [g for i, g in enumerate(gens) if i not in repeated and witness[i] is None]
+        q = normalize_atoms(p)
+        assert q.generators == tuple(as_element(g) for g in keep)
+        reducible = [i for i, w in enumerate(witness) if w is not None]
+        if reducible and not repeated:
+            i = reducible[0]
+            with pytest.raises(NotAnAtom) as exc:
+                normalize_atoms(p, "reject")
+            assert (exc.value.index, exc.value.witness) == (i, witness[i])
+            message = f"generator {i} is not an atom (witness {witness[i]}); normalize first"
+            with pytest.raises(NotNormalized, match=re.escape(message)):
+                ensure_normalized(p)
+
+        bound = rng.choice((Fraction(7), Fraction(13, 2)))
+        rels = relation_evidence(q, bound, coordinate_sum)
+        assert [(r.left, r.right) for r in rels] == box_relations(keep, sum, bound)
+    assert checked >= 100
 
 
 # ---------------------------------------------------------------------------
