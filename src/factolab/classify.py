@@ -77,6 +77,15 @@ class FactorizationRelation:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Verdicts, atom labels and witnesses of one presentation.
+
+    ``master`` is the primitive unbalanced relation that generates all
+    relations, if there is one.  It exists exactly when the presentation is
+    length factorial but not unique: the kernel is then spanned by one vector
+    b with sigma(b) != 0, oriented long side first, and every irredundant
+    unbalanced relation is a multiple of it (or of its swap).
+    """
+
     kernel_rank: int
     kernel_basis: tuple[tuple[int, ...], ...]
     is_ufm: bool
@@ -159,11 +168,9 @@ def _master_from_basis(basis: LatticeBasis) -> Optional[FactorizationRelation]:
     return FactorizationRelation.from_kernel_vector(_orient(b))
 
 
-def classify(
-    presentation: MonoidPresentation, grading: Optional[Grading] = None
-) -> ClassificationReport:
+def classify(presentation: MonoidPresentation) -> ClassificationReport:
     """Full exact classification of a validated, atoms-only presentation."""
-    ensure_normalized(presentation, grading)
+    ensure_normalized(presentation)
 
     basis = presentation.integer_form.kernel
     k = presentation.atom_count
@@ -174,15 +181,15 @@ def classify(
     is_hfm = all(s == 0 for s in sigmas)
     is_lfm = rank == 0 or (rank == 1 and sigmas[0] != 0)
 
-    sigma = tuple(Fraction(1) for _ in range(k))
-    neg_sigma = tuple(Fraction(-1) for _ in range(k))
+    sigma = (1,) * k
+    neg_sigma = (-1,) * k
     labels: list[AtomLabel] = []
     witnesses: dict[str, tuple[int, ...]] = {}
     for i in range(k):
         if all(v[i] == 0 for v in basis.vectors):
             labels.append(AtomLabel.PRIME)
             continue
-        unit = tuple(Fraction(1 if j == i else 0) for j in range(k))
+        unit = tuple(int(j == i) for j in range(k))
         long_refutation = homogeneous_lp_witness(basis, unit, [sigma])
         short_refutation = homogeneous_lp_witness(basis, unit, [neg_sigma])
         if long_refutation is not None:
@@ -235,26 +242,6 @@ def classify(
     )
 
 
-def prime_atoms(presentation: MonoidPresentation) -> tuple[int, ...]:
-    """Indices of atoms whose multiplicity is constant across every fiber."""
-    return classify(presentation).prime
-
-
-def pure_atom_labels(presentation: MonoidPresentation) -> tuple[AtomLabel, ...]:
-    return classify(presentation).labels
-
-
-def master_relation(presentation: MonoidPresentation) -> Optional[FactorizationRelation]:
-    """The primitive unbalanced relation generating all relations, if any.
-
-    Exists exactly when the presentation is length factorial but not unique:
-    the kernel is then spanned by one vector b with sigma(b) != 0, oriented
-    long side first, and every irredundant unbalanced relation is a multiple
-    of the returned one (or its swap).
-    """
-    return classify(presentation).master
-
-
 def relation_evidence(
     presentation: MonoidPresentation,
     bound,
@@ -268,7 +255,7 @@ def relation_evidence(
     is reported (long or lexicographically larger side first).  Relations are
     sorted by grade, then element, then left side.
     """
-    ensure_normalized(presentation, grading)
+    ensure_normalized(presentation)
     form = presentation.integer_form
     unit, _, grades = form.integer_grading(grading)
     groups: dict[tuple[int, ...], list[FactorizationVector]] = {}

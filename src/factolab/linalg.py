@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 IntVector = tuple[int, ...]
-QVector = tuple[Fraction, ...]
 
 
 class DimensionMismatch(ValueError):
@@ -198,66 +198,66 @@ def integer_kernel(matrix: IntMatrix) -> LatticeBasis:
 # Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
 
-Constraint = tuple[QVector, Fraction]  # coeffs . t >= rhs
+Constraint = tuple[Sequence[Rational], Rational]  # coeffs . t >= rhs
 
 
-def _constraint_key(coeffs: QVector, rhs: Fraction) -> tuple[int, ...]:
-    """Primitive integer form of a constraint, for deduplication."""
-    den = math.lcm(*(c.denominator for c in coeffs), rhs.denominator)
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    nums.append(rhs.numerator * (den // rhs.denominator))
-    g = math.gcd(*nums)
-    if g > 1:
-        nums = [x // g for x in nums]
-    return tuple(nums)
+def _integer_multiple(values: Sequence[Rational]) -> tuple[IntVector, int]:
+    """(D * values, D) for the least common denominator D of the values."""
+    if all(type(x) is int for x in values):
+        return tuple(values), 1
+    qs = [parse_rational(x) for x in values]
+    den = math.lcm(*(q.denominator for q in qs))
+    return tuple(q.numerator * (den // q.denominator) for q in qs), den
 
 
 def solve_inequalities(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
     """Exact solution of the system coeffs . t >= rhs, or None if infeasible.
 
-    Eliminates the last variable, recurses, and back-substitutes, so a
-    feasible system always yields a concrete rational point.
+    Each constraint is held as one primitive integer row, its coefficients
+    followed by its right-hand side: a positive multiple of a constraint is
+    the same constraint, so that row both finds duplicates and keeps the
+    elimination in integers.  Eliminates the last variable, recurses, and
+    back-substitutes, so a feasible system always yields a concrete rational
+    point; only that point is rational.
     """
-    work: list[Constraint] = []
-    seen: set[tuple[int, ...]] = set()
+    rows: list[IntVector] = []
+    seen: set[IntVector] = set()
     for coeffs, rhs in constraints:
         if len(coeffs) != nvars:
             raise DimensionMismatch("constraint arity does not match variable count")
-        if all(c == 0 for c in coeffs):
-            if rhs > 0:
+        row, _ = _integer_multiple((*coeffs, rhs))
+        g = math.gcd(*row)
+        if g > 1:
+            row = tuple(x // g for x in row)
+        if not any(row[:-1]):
+            if row[-1] > 0:
                 return None
             continue
-        key = _constraint_key(coeffs, rhs)
-        if key not in seen:
-            seen.add(key)
-            work.append((coeffs, rhs))
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
     if nvars == 0:
         return []
 
-    lowers: list[tuple[QVector, Fraction, Fraction]] = []
-    uppers: list[tuple[QVector, Fraction, Fraction]] = []
-    projected: list[Constraint] = []
-    for coeffs, rhs in work:
-        a = coeffs[-1]
-        head = coeffs[:-1]
-        if a > 0:
-            lowers.append((head, rhs, a))
-        elif a < 0:
-            uppers.append((head, rhs, a))
-        else:
-            projected.append((head, rhs))
-    for hl, rl, al in lowers:
-        for hu, ru, au in uppers:
+    lowers = [row for row in rows if row[-2] > 0]
+    uppers = [row for row in rows if row[-2] < 0]
+    projected: list[Constraint] = [(row[:-2], row[-1]) for row in rows if row[-2] == 0]
+    for low in lowers:
+        al = low[-2]
+        for up in uppers:
+            au = up[-2]
             # (rl - hl.t)/al <= t_last <= (ru - hu.t)/au with al > 0 > au;
-            # clearing denominators (and one sign flip) gives:
-            coeffs = tuple(al * cu - au * cl for cl, cu in zip(hl, hu))
-            projected.append((coeffs, al * ru - au * rl))
+            # clearing denominators (and one sign flip) gives, entry by entry
+            # and with t_last cancelled:
+            row = [al * cu - au * cl for cl, cu in zip(low, up)]
+            projected.append((row[:-2], row[-1]))
 
     sub = solve_inequalities(projected, nvars - 1)
     if sub is None:
         return None
-    lo_vals = [(rl - dot(hl, sub)) / al for hl, rl, al in lowers]
-    hi_vals = [(ru - dot(hu, sub)) / au for hu, ru, au in uppers]
+    # The bound (r - h.t)/a of a row does not move when the row is scaled.
+    lo_vals = [Fraction(r[-1] - sum(map(mul, r[:-2], sub)), r[-2]) for r in lowers]
+    hi_vals = [Fraction(r[-1] - sum(map(mul, r[:-2], sub)), r[-2]) for r in uppers]
     if lo_vals:
         value = max(lo_vals)
     elif hi_vals:
@@ -281,32 +281,31 @@ def homogeneous_lp_witness(
     the system is infeasible.
     """
     k = basis.dim
-    strict_q = tuple(parse_rational(c) for c in strict)
-    if len(strict_q) != k:
+    if len(strict) != k:
         raise DimensionMismatch("strict functional has wrong length")
-    nonstrict_q = []
-    for n in nonstrict:
-        nq = tuple(parse_rational(c) for c in n)
-        if len(nq) != k:
-            raise DimensionMismatch("nonstrict functional has wrong length")
-        nonstrict_q.append(nq)
+    if any(len(n) != k for n in nonstrict):
+        raise DimensionMismatch("nonstrict functional has wrong length")
+    # Each functional is scaled once to integers: strict . z >= 1 becomes
+    # (D strict) . z >= D for its least common denominator D.
+    strict_z, den = _integer_multiple(strict)
+    nonstrict_z = [_integer_multiple(n)[0] for n in nonstrict]
 
-    r = basis.rank
-    rows: list[Constraint] = [(tuple(dot(strict_q, b) for b in basis.vectors), Fraction(1))]
-    for n in nonstrict_q:
-        rows.append((tuple(-dot(n, b) for b in basis.vectors), Fraction(0)))
-    t = solve_inequalities(rows, r)
+    rows: list[Constraint] = [(tuple(sum(map(mul, strict_z, b)) for b in basis.vectors), den)]
+    for n in nonstrict_z:
+        rows.append((tuple(-sum(map(mul, n, b)) for b in basis.vectors), 0))
+    t = solve_inequalities(rows, basis.rank)
     if t is None:
         return None
 
-    z = [Fraction(0)] * k
-    for coeff, vec in zip(t, basis.vectors):
-        for i in range(k):
-            z[i] += coeff * vec[i]
-    scale = math.lcm(*(q.denominator for q in z)) if z else 1
-    witness = tuple(int(q * scale) for q in z)
-    # Positive scaling preserves every constraint (strict stays >= 1 since scale >= 1).
-    if dot(strict_q, witness) < 1 or any(dot(n, witness) > 0 for n in nonstrict_q):
+    # The witness is z = sum t_j b_j times the least common denominator of its
+    # entries.  With L the common denominator of t, that is L z / gcd(L, L z).
+    t_z, scale = _integer_multiple(t)
+    z = [sum(c * vec[i] for c, vec in zip(t_z, basis.vectors)) for i in range(k)]
+    g = math.gcd(scale, *z)
+    witness = tuple(x // g for x in z)
+    # A multiple >= 1 of a solution still solves the system (strict stays >= 1).
+    strict_value = sum(map(mul, strict_z, witness))
+    if strict_value < den or any(sum(map(mul, n, witness)) > 0 for n in nonstrict_z):
         raise InternalContradiction(f"LP witness {witness} violates the system it solves")
     return witness
 

@@ -400,9 +400,7 @@ def normalize_atoms(presentation: MonoidPresentation, mode: str = "auto-reduce")
     return MonoidPresentation(presentation.ambient_dim, survivors, presentation.label)
 
 
-def ensure_normalized(
-    presentation: MonoidPresentation, grading: Optional[Grading] = None
-) -> Grading:
+def ensure_normalized(presentation: MonoidPresentation) -> Grading:
     """Validate and demand that the presentation lists exactly the atoms."""
     form = presentation.integer_form
     for i, original in _duplicates(presentation).items():
@@ -414,4 +412,4 @@ def ensure_normalized(
             raise NotNormalized(
                 f"generator {i} is not an atom (witness {witness}); normalize first"
             )
-    return grading or form.grading
+    return form.grading

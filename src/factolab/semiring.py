@@ -552,13 +552,18 @@ class AlgebraWitness:
         return self.c + self.b - self.a
 
     def factors_multiply_out(self) -> bool:
-        for factors in (self.z1, self.z2):
-            result = SemiringPolynomial.one("Q", self.monoid)
-            for poly, multiplicity in factors:
-                result = poly_mul(result, poly_pow(poly, multiplicity))
-            if result != self.product:
-                return False
-        return True
+        return all(
+            _multiply_out(factors, self.monoid) == self.product
+            for factors in (self.z1, self.z2)
+        )
+
+
+def _multiply_out(factors, monoid: MonoidPresentation) -> SemiringPolynomial:
+    """The product of ``poly ** multiplicity`` over the (poly, multiplicity) pairs."""
+    result = SemiringPolynomial.one("Q", monoid)
+    for poly, multiplicity in factors:
+        result = poly_mul(result, poly_pow(poly, multiplicity))
+    return result
 
 
 def algebra_witness(a: int, b: int) -> AlgebraWitness:
@@ -628,14 +633,8 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
         z1 = ((mono_a, c), (a2, b - a))
         z2 = ((mono_b, c), (a1, b - a))
 
-    def multiply_out(factors) -> SemiringPolynomial:
-        result = SemiringPolynomial.one("Q", monoid)
-        for poly, multiplicity in factors:
-            result = poly_mul(result, poly_pow(poly, multiplicity))
-        return result
-
-    product = multiply_out(z1)
-    if product != multiply_out(z2):
+    product = _multiply_out(z1, monoid)
+    if product != _multiply_out(z2, monoid):
         raise InternalContradiction("the two factorizations disagree")
 
     return AlgebraWitness(

@@ -12,12 +12,17 @@ from factolab.classify import (
     AtomLabel,
     FactorizationRelation,
     classify,
-    master_relation,
-    prime_atoms,
-    pure_atom_labels,
     relation_evidence,
 )
-from factolab.linalg import InternalContradiction, LatticeBasis, homogeneous_lp_feasible
+from factolab.construct import fixture_gallery
+from factolab.linalg import (
+    IntMatrix,
+    InternalContradiction,
+    LatticeBasis,
+    homogeneous_lp_feasible,
+    homogeneous_lp_witness,
+    integer_kernel,
+)
 from factolab.monoid import (
     MonoidPresentation,
     NotNormalized,
@@ -160,7 +165,7 @@ def test_prime_semantics_in_2_3():
     p = numerical(2, 3)
     assert enumerate_factorizations(p, [4])  # 6 - 2 lies in the monoid
     assert not enumerate_factorizations(p, [1])  # 3 - 2 does not
-    assert prime_atoms(p) == ()
+    assert classify(p).prime == ()
 
 
 def test_pure_atoms_in_puiseux_monoid():
@@ -177,11 +182,11 @@ def test_pure_atoms_in_puiseux_monoid():
 
 
 def test_master_relation_of_2_3():
-    assert master_relation(numerical(2, 3)) == FactorizationRelation((3, 0), (0, 2))
+    assert classify(numerical(2, 3)).master == FactorizationRelation((3, 0), (0, 2))
 
 
 def test_master_generates_all_unbalanced_relations():
-    master = master_relation(numerical(2, 3))
+    master = classify(numerical(2, 3)).master
     for rel in relation_evidence(numerical(2, 3), 20):
         n = max(rel.left[0], rel.right[0]) // max(master.left[0], 1)
         assert rel.left == tuple(n * c for c in master.left)
@@ -189,8 +194,8 @@ def test_master_generates_all_unbalanced_relations():
 
 
 def test_no_master_outside_proper_lfm():
-    assert master_relation(numerical(2)) is None
-    assert master_relation(numerical(3, 4, 5)) is None
+    assert classify(numerical(2)).master is None
+    assert classify(numerical(3, 4, 5)).master is None
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +358,106 @@ def test_classify_certificate_checks_raise(monkeypatch):
     monkeypatch.setattr(module, "homogeneous_lp_witness", lambda *args: None)
     with pytest.raises(InternalContradiction, match="refutes both purity systems"):
         classify(p345)
+
+
+# ---------------------------------------------------------------------------
+# pinned LP points
+# ---------------------------------------------------------------------------
+
+# Witnesses of fixture_gallery(3), each found by a Fourier-Motzkin solve.
+PINNED_GALLERY_WITNESSES = {
+    "lfm-pair-2-3": {
+        "atom0_not_purely_short": (3, -2),
+        "atom1_not_purely_long": (-3, 2),
+        "not_ufm": (3, -2),
+        "not_hfm": (3, -2),
+    },
+    "non-lfm-triple-3-4-5": {
+        "atom0_not_purely_long": (1, -2, 1),
+        "atom0_not_purely_short": (1, -2, 1),
+        "atom1_not_purely_long": (-1, 2, -1),
+        "atom1_not_purely_short": (-1, 2, -1),
+        "atom2_not_purely_long": (1, -2, 1),
+        "atom2_not_purely_short": (1, -2, 1),
+        "not_ufm": (4, -3, 0),
+        "not_hfm": (4, -3, 0),
+        "not_lfm": (1, -2, 1),
+    },
+    "scaled-triple-3-4-5-over-7": {
+        "atom0_not_purely_long": (1, -2, 1),
+        "atom0_not_purely_short": (1, -2, 1),
+        "atom1_not_purely_long": (-1, 2, -1),
+        "atom1_not_purely_short": (-1, 2, -1),
+        "atom2_not_purely_long": (1, -2, 1),
+        "atom2_not_purely_short": (1, -2, 1),
+        "not_ufm": (4, -3, 0),
+        "not_hfm": (4, -3, 0),
+        "not_lfm": (1, -2, 1),
+    },
+    "pure-pair-with-neither-cloud-3": {
+        "atom0_not_purely_short": (3, -2, 0, 0, 0, 0),
+        "atom1_not_purely_long": (-3, 2, 0, 0, 0, 0),
+        "atom2_not_purely_long": (0, 0, 2, -3, 0, 1),
+        "atom2_not_purely_short": (0, 0, 2, -3, 0, 1),
+        "atom3_not_purely_long": (0, 0, -2, 3, 0, -1),
+        "atom3_not_purely_short": (0, 0, -2, 3, 0, -1),
+        "atom4_not_purely_long": (0, 0, 1, -2, 1, 0),
+        "atom4_not_purely_short": (0, 0, 1, -2, 1, 0),
+        "atom5_not_purely_long": (0, 0, 2, -3, 0, 1),
+        "atom5_not_purely_short": (0, 0, 2, -3, 0, 1),
+        "not_ufm": (3, -2, 0, 0, 0, 0),
+        "not_hfm": (3, -2, 0, 0, 0, 0),
+        "not_lfm": (0, 0, 1, -2, 1, 0),
+    },
+    "signed-neither-cloud-3": {
+        "atom0_not_purely_short": (3, -2, 0, 0, 0, 0, 0, 0, 0),
+        "atom1_not_purely_long": (-3, 2, 0, 0, 0, 0, 0, 0, 0),
+        "atom2_not_purely_long": (0, 0, 1, -2, 1, 0, 0, 0, 0),
+        "atom2_not_purely_short": (0, 0, 1, -2, 1, 0, 0, 0, 0),
+        "atom3_not_purely_long": (0, 0, 0, 4, -5, 0, 0, 0, 1),
+        "atom3_not_purely_short": (0, 0, 0, 4, -5, 0, 0, 0, 1),
+        "atom4_not_purely_long": (0, 0, 0, -4, 5, 0, 0, 0, -1),
+        "atom4_not_purely_short": (0, 0, 0, -4, 5, 0, 0, 0, -1),
+        "atom5_not_purely_long": (0, 0, 0, 1, -2, 1, 0, 0, 0),
+        "atom5_not_purely_short": (0, 0, 0, 1, -2, 1, 0, 0, 0),
+        "atom6_not_purely_long": (0, 0, 0, 2, -3, 0, 1, 0, 0),
+        "atom6_not_purely_short": (0, 0, 0, 2, -3, 0, 1, 0, 0),
+        "atom7_not_purely_long": (0, 0, 0, 3, -4, 0, 0, 1, 0),
+        "atom7_not_purely_short": (0, 0, 0, 3, -4, 0, 0, 1, 0),
+        "atom8_not_purely_long": (0, 0, 0, 4, -5, 0, 0, 0, 1),
+        "atom8_not_purely_short": (0, 0, 0, 4, -5, 0, 0, 0, 1),
+        "not_ufm": (0, 0, 1, -2, 1, 0, 0, 0, 0),
+        "not_hfm": (3, -2, 0, 0, 0, 0, 0, 0, 0),
+        "not_lfm": (0, 0, 1, -2, 1, 0, 0, 0, 0),
+    },
+    "half-factorial-strip-3": {
+        "atom0_not_purely_long": (2, -3, 0, 1),
+        "atom0_not_purely_short": (2, -3, 0, 1),
+        "atom1_not_purely_long": (-2, 3, 0, -1),
+        "atom1_not_purely_short": (-2, 3, 0, -1),
+        "atom2_not_purely_long": (1, -2, 1, 0),
+        "atom2_not_purely_short": (1, -2, 1, 0),
+        "atom3_not_purely_long": (2, -3, 0, 1),
+        "atom3_not_purely_short": (2, -3, 0, 1),
+        "not_ufm": (1, -2, 1, 0),
+        "not_lfm": (1, -2, 1, 0),
+    },
+}
+
+
+def test_lp_points_are_pinned():
+    assert {
+        fx.name: classify(fx.presentation).witnesses for fx in fixture_gallery(3)
+    } == PINNED_GALLERY_WITNESSES
+    # generators with a nonpositive coordinate sum send validation into the LP
+    for gens, weights in [
+        ([(1, -1), (0, 1)], (2, 1)),
+        ([(2, -1), (-1, 2)], (1, 1)),
+        ([(Fraction(1, 2), -1, 0), (0, 1, -1), (-1, 0, 3)], (14, 6, 5)),
+    ]:
+        grading = validate_presentation(MonoidPresentation.from_generators(gens))
+        assert grading.weights == weights
+    basis = integer_kernel(IntMatrix.from_rows([[2, 3, -1, 4, 1]]))
+    strict = ("1/2", Fraction(-2, 3), 0, "5/4", 1)
+    nonstrict = [(Fraction(1, 3), 1, "-1/2", 0, 0), (0, Fraction(3, 2), 1, -1, "2/5")]
+    assert homogeneous_lp_witness(basis, strict, nonstrict) == (-39, 0, -26, -2, 60)
