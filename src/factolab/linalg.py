@@ -35,10 +35,10 @@ class InternalContradiction(RuntimeError):
 
 
 def parse_rational(value: Rational) -> Fraction:
-    """Parse a rational given as ``Fraction``, ``int``, or a string "p/q" / "n"."""
+    """Parse a rational given as ``Fraction``, ``int`` (not ``bool``), or a string "p/q" / "n"."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -299,7 +299,8 @@ def homogeneous_lp_witness(
 
     # The witness is z = sum t_j b_j times the least common denominator of its
     # entries.  With L the common denominator of t, that is L z / gcd(L, L z).
-    t_z, scale = _integer_multiple(t)
+    scale = math.lcm(*(q.denominator for q in t))
+    t_z = [q.numerator * (scale // q.denominator) for q in t]
     z = [sum(c * vec[i] for c, vec in zip(t_z, basis.vectors)) for i in range(k)]
     g = math.gcd(scale, *z)
     witness = tuple(x // g for x in z)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import (
@@ -117,25 +118,6 @@ class MonoidPresentation:
     def atom_count(self) -> int:
         return len(self.generators)
 
-    def row_scales(self) -> tuple[int, ...]:
-        """The least common denominator of each coordinate row."""
-        return tuple(
-            math.lcm(*(g[i].denominator for g in self.generators))
-            for i in range(self.ambient_dim)
-        )
-
-    def integer_matrix(self) -> IntMatrix:
-        """Generators as columns, with each coordinate row times its row scale.
-
-        Scaling a coordinate by a positive integer does not change which
-        exponent vectors annihilate the generators, so the kernel lattice of
-        this matrix is exactly the relation lattice of the presentation.
-        """
-        return IntMatrix.from_rows(
-            [[g[i].numerator * (s // g[i].denominator) for g in self.generators]
-             for i, s in enumerate(self.row_scales())]
-        )
-
     @cached_property
     def integer_form(self) -> "IntegerForm":
         """The validated integer form, built on first use and kept."""
@@ -175,6 +157,8 @@ class MonoidPresentation:
             if len(g) != dim:
                 raise InvalidGenerator(f"generator {g} does not match dim {dim}")
         label = data.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f"'label' must be a string, got {label!r}")
         return cls(dim, gens, label)
 
 
@@ -190,31 +174,9 @@ def validate_presentation(presentation: MonoidPresentation) -> Grading:
     vector annihilates the generators; by duality this is equivalent to the
     existence of a rational functional h with h(g) > 0 for every generator.
     On failure the dual certificate is produced as a NotPointed witness.
+    The check runs once per presentation, in its integer form.
     """
-    for i, g in enumerate(presentation.generators):
-        if all(c == 0 for c in g):
-            raise InvalidGenerator(f"generator {i} is the zero vector")
-
-    d = presentation.ambient_dim
-    if all(sum(g) > 0 for g in presentation.generators):
-        weights = [Fraction(1)] * d
-    else:
-        constraints = [(g, Fraction(1)) for g in presentation.generators]
-        weights = solve_inequalities(constraints, d)
-    if weights is not None:
-        low = min(dot(weights, g) for g in presentation.generators)
-        return Grading(tuple(w / low for w in weights))
-
-    # No positive grading exists, so a nonnegative kernel vector must.
-    basis = integer_kernel(presentation.integer_matrix())
-    k = presentation.atom_count
-    nonneg = [tuple(-1 if j == i else 0 for j in range(k)) for i in range(k)]
-    for i in range(k):
-        strict = tuple(1 if j == i else 0 for j in range(k))
-        witness = homogeneous_lp_witness(basis, strict, nonneg)
-        if witness is not None:
-            raise NotPointed(witness)
-    raise InternalContradiction("no grading found and no nonnegative kernel witness either")
+    return presentation.integer_form.grading
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +194,55 @@ class IntegerForm:
     """
 
     def __init__(self, presentation: MonoidPresentation):
-        self.grading = validate_presentation(presentation)
-        self.scales = presentation.row_scales()
-        self.matrix = presentation.integer_matrix()
-        self.columns = tuple(self.matrix.column(j) for j in range(self.matrix.cols))
-        self.unit, self.weights, self.grades = self.integer_grading(self.grading)
+        gens = presentation.generators
+        self.scales = tuple(
+            math.lcm(*(g[i].denominator for g in gens)) for i in range(presentation.ambient_dim)
+        )
+        self.columns = tuple(
+            tuple(c.numerator * (s // c.denominator) for c, s in zip(g, self.scales)) for g in gens
+        )
+        for j, column in enumerate(self.columns):
+            if not any(column):
+                raise InvalidGenerator(f"generator {j} is the zero vector")
+        # u = h / s grades the columns as h grades the generators: the coordinate
+        # sum, or Fourier-Motzkin, which no positive rescaling of a variable moves.
+        common = math.lcm(*self.scales)
+        u = [common // s for s in self.scales]
+        if any(sum(map(mul, u, x)) <= 0 for x in self.columns):
+            u = solve_inequalities([(x, 1) for x in self.columns], len(self.scales))
+        if u is None:  # no positive grading, so a nonnegative relation exists
+            k = len(self.columns)
+            nonneg = [tuple(-1 if j == i else 0 for j in range(k)) for i in range(k)]
+            for i in range(k):
+                strict = tuple(1 if j == i else 0 for j in range(k))
+                witness = homogeneous_lp_witness(self.kernel, strict, nonneg)
+                if witness is not None:
+                    raise NotPointed(witness)
+            raise InternalContradiction("no grading found and no nonnegative kernel witness either")
+        low = min(sum(map(mul, u, x)) for x in self.columns)
+        ratios = [Fraction(w) / low for w in u]
+        self.grading = Grading(tuple(s * q for s, q in zip(self.scales, ratios)))
+        self.unit, self.weights, self.grades = self._scaled(ratios)
 
     def integer_grading(self, grading: Optional[Grading]) -> tuple[int, IntVector, IntVector]:
         """(c, u, generator grades) of ``grading``; of the validated one for None."""
         if grading is None:
             return self.unit, self.weights, self.grades
-        ratios = [Fraction(w) / s for w, s in zip(grading.weights, self.scales, strict=True)]
+        return self._scaled([Fraction(w) / s
+                             for w, s in zip(grading.weights, self.scales, strict=True)])
+
+    def _scaled(self, ratios: Sequence[Fraction]) -> tuple[int, IntVector, IntVector]:
+        """(c, c * ratios, generator grades) for the least c making c * ratios integral."""
         c = math.lcm(*(q.denominator for q in ratios))
         weights = tuple(q.numerator * (c // q.denominator) for q in ratios)
-        grades = tuple(sum(u * x for u, x in zip(weights, col)) for col in self.columns)
+        grades = tuple(sum(map(mul, weights, x)) for x in self.columns)
         if min(grades) <= 0:
             raise ValueError("a grading must be positive on every generator")
         return c, weights, grades
 
     @cached_property
     def kernel(self) -> LatticeBasis:
-        return integer_kernel(self.matrix)
+        return integer_kernel(IntMatrix.from_rows(tuple(zip(*self.columns))))
 
     @cached_property
     def atom_defects(self) -> tuple[Optional[FactorizationVector], ...]:

@@ -330,8 +330,13 @@ class SemiringPolynomial:
             if monoid_data == "N0"
             else MonoidPresentation.from_json_dict(monoid_data)
         )
+        terms = data["terms"]
+        if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 2 for t in terms
+        ):
+            raise ValueError("'terms' must be a list of [exponent, coefficient] pairs")
         return cls.from_terms(
-            [(e, c) for e, c in data["terms"]],
+            [(e, c) for e, c in terms],
             data.get("coeff_domain", "N"),
             exponent_monoid,
         )

@@ -2,7 +2,9 @@
 
 Everything in this module is deliberately written from scratch (dense
 Gaussian elimination, box searches, dense polynomial arithmetic) so the
-library is checked against code that shares none of its algorithms.
+library is checked against code that shares none of its algorithms.  The
+one exception is ``reference_grading``: it keeps validation on the rational
+generators, to check the validation on their integer form against.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from factolab.linalg import solve_inequalities
 
 
 def solve_rational_combination(
@@ -177,3 +181,27 @@ def box_relations(gens, weight, bound) -> list[tuple[tuple[int, ...], tuple[int,
             left, right = sorted((z1, z2), key=lambda z: (sum(z), z), reverse=True)
             found.append((sum(m * wj for m, wj in zip(z1, w)), element, left, right))
     return [(left, right) for _, _, left, right in sorted(found)]
+
+
+# ---------------------------------------------------------------------------
+# the grading on rational generators
+# ---------------------------------------------------------------------------
+
+
+def reference_grading(gens: Sequence[Sequence[Fraction]]) -> Optional[tuple[Fraction, ...]]:
+    """The positive grading of the generators, found on the rationals themselves.
+
+    All ones when every coordinate sum is positive, else a point of
+    {h : h . g >= 1 for every g} from the Fourier-Motzkin solver on
+    ``Fraction`` rows; then divided by its least value on the generators, so
+    the least generator grade is 1.  None when no such h exists.
+    """
+    d = len(gens[0])
+    if all(sum(g) > 0 for g in gens):
+        h = [Fraction(1)] * d
+    else:
+        h = solve_inequalities([(tuple(g), Fraction(1)) for g in gens], d)
+        if h is None:
+            return None
+    low = min(sum(w * c for w, c in zip(h, g)) for g in gens)
+    return tuple(w / low for w in h)

@@ -170,9 +170,11 @@ def assert_clean_error(result):
         {"dim": 1, "generators": [2, 3]},
         {"dim": 2.7, "generators": [["1", "0"], ["0", "1"]]},
         {"dim": True, "generators": [["2"], ["3"]]},
+        {"dim": 1, "generators": [[True], ["3"]]},
+        {"dim": 1, "generators": [[True], ["5/2"]]},
     ],
     ids=["zero-denominator", "generators-not-a-list", "generator-not-a-list",
-         "float-dim", "bool-dim"],
+         "float-dim", "bool-dim", "bool-entry", "bool-entry-of-an-atom"],
 )
 def test_malformed_presentation_exits_1(tmp_path, payload):
     path = tmp_path / "bad.json"
@@ -298,6 +300,23 @@ def test_semiring_atom_atom_case(capsys):
     assert result.returncode == 0
     data = json.loads(result.stdout)
     assert data == {"is_atom": True, "witness": None}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"monoid": "N0", "terms": 5},
+        {"monoid": "N0", "terms": [5]},
+        {"monoid": "N0", "terms": ["12"]},
+        {"monoid": "N0", "terms": {"12": 5}},
+        {"monoid": {"dim": 1, "generators": [["1/2"], ["1/3"]], "label": [1]},
+         "terms": [["1", "1"], ["0", "1"]]},
+    ],
+    ids=["terms-not-a-list", "term-not-a-list", "term-a-string", "terms-an-object",
+         "label-not-a-string"],
+)
+def test_semiring_atom_malformed_json_exits_1(payload):
+    assert_clean_error(run_cli("semiring-atom", "-", stdin_text=json.dumps(payload)))
 
 
 def test_semiring_atom_rejects_rational_domain():

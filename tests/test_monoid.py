@@ -28,7 +28,7 @@ from factolab.monoid import (
     normalize_atoms,
     validate_presentation,
 )
-from helpers import box_evaluate, box_factorizations, box_relations
+from helpers import box_evaluate, box_factorizations, box_relations, reference_grading
 
 
 def numerical(*values, label=None):
@@ -79,6 +79,39 @@ def test_validate_mixed_sign_coordinates_is_fine():
 def test_grading_is_deterministic():
     p = MonoidPresentation.from_generators([(0, -3, 1), (2, 0, 0), (0, 2, 1)])
     assert validate_presentation(p) == validate_presentation(p)
+
+
+VALIDATION_POOL = tuple(
+    Fraction(q) for q in ("-2", "-3/2", "-1", "-1/3", "0", "1/4", "1/2", "2/3", "1", "5/3", "3")
+)
+
+
+def test_validation_matches_rational_reference():
+    """The grading found on the integer columns is the one found on the
+    rational generators, and a presentation without one has a nonzero
+    nonnegative relation as its witness."""
+    rng = random.Random(20261019)
+    outcomes = {"coordinate sum": 0, "Fourier-Motzkin": 0, "not pointed": 0}
+    for _ in range(300):
+        d, k = rng.randint(1, 4), rng.randint(1, 5)
+        gens = []
+        while len(gens) < k:
+            g = tuple(rng.choice(VALIDATION_POOL) for _ in range(d))
+            if any(g):
+                gens.append(g)
+        p = MonoidPresentation.from_generators(gens)
+        want = reference_grading(gens)
+        if want is None:
+            with pytest.raises(NotPointed) as exc:
+                validate_presentation(p)
+            w = exc.value.witness
+            assert any(w) and min(w) >= 0, (gens, w)
+            assert not any(p.evaluate(w)), (gens, w)
+            outcomes["not pointed"] += 1
+        else:
+            assert validate_presentation(p).weights == want, gens
+            outcomes["coordinate sum" if all(sum(g) > 0 for g in gens) else "Fourier-Motzkin"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 # ---------------------------------------------------------------------------
