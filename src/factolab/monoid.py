@@ -123,6 +123,25 @@ class MonoidPresentation:
         """The validated integer form, built on first use and kept."""
         return IntegerForm(self)
 
+    @cached_property
+    def rank_one(self):
+        """``(unit, numerical)`` of a monoid of positive rationals, built on first use and kept.
+
+        A rational ``x`` lies in the monoid iff ``x / unit`` is a nonnegative
+        integer in the :class:`~factolab.semiring.NumericalMonoid` ``numerical``.
+        """
+        from .semiring import NumericalMonoid  # semiring imports this module
+
+        if self.ambient_dim != 1:
+            raise ValueError("exponent monoids must be one-dimensional")
+        values = [g[0] for g in self.generators]
+        if any(v <= 0 for v in values):
+            raise ValueError("exponent monoid generators must be positive")
+        denominator = math.lcm(*(v.denominator for v in values))
+        numerators = [v.numerator * (denominator // v.denominator) for v in values]
+        common = math.gcd(*numerators)
+        return Fraction(common, denominator), NumericalMonoid([n // common for n in numerators])
+
     def evaluate(self, exponents: Sequence[int]) -> QVector:
         """The element sum_i exponents[i] * generator[i]."""
         if len(exponents) != self.atom_count:

@@ -24,10 +24,9 @@ atom-disjoint factorizations of the same length (:func:`algebra_witness`).
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -66,10 +65,16 @@ class InvalidPair(ValueError):
 class NumericalMonoid:
     """Membership oracle for the monoid generated by coprime positive ints.
 
-    The membership table is grown by doubling until the top ``min(gens)``
-    consecutive entries are all members; from that point on every larger
-    integer is a member (add the smallest generator repeatedly), so the
-    table certifies itself and ``contains`` is a constant-time lookup.
+    Membership is read off the Apéry set of the smallest generator ``m``:
+    ``apery[r]`` is the least member congruent to ``r`` modulo ``m``, and an
+    integer ``n`` is a member exactly when ``n >= apery[n % m]``, since
+    adding ``m`` keeps the residue.  The Apéry set is a shortest-path problem
+    on the ``m`` residues, whose edges add one generator; Dijkstra's
+    algorithm with a heap solves it in ``O(k m log m)`` steps for ``k``
+    generators, however far out the gaps reach (Nijenhuis, *A minimal-path
+    algorithm for the money changing problem*, Amer. Math. Monthly 86, 1979;
+    Böcker & Lipták, *A fast and simple algorithm for the money changing
+    problem*, Algorithmica 48, 2007).
     """
 
     def __init__(self, generators: Sequence[int]):
@@ -82,63 +87,52 @@ class NumericalMonoid:
                 "membership beyond the table would be undecidable"
             )
         self.generators = gens
-        size = 2 * gens[-1] + 2
-        step = gens[0]
-        while True:
-            table = [False] * size
-            table[0] = True
-            for n in range(1, size):
-                table[n] = any(n >= g and table[n - g] for g in gens)
-            if all(table[size - step:]):
-                break
-            size *= 2
-        self._table = tuple(table)
+        m = gens[0]
+        apery: list[Optional[int]] = [None] * m
+        apery[0] = 0
+        heap = [(0, 0)]
+        while heap:
+            value, residue = heapq.heappop(heap)
+            if value > apery[residue]:
+                continue
+            for g in gens[1:]:
+                reach = value + g
+                r = reach % m
+                if apery[r] is None or reach < apery[r]:
+                    apery[r] = reach
+                    heapq.heappush(heap, (reach, r))
+        self._apery = tuple(apery)
 
     @property
     def frontier(self) -> int:
-        """Every integer at or beyond this bound is a member."""
-        return len(self._table) - self.generators[0]
+        """The conductor: every integer at or beyond this bound is a member."""
+        return max(self._apery) - self.generators[0] + 1
 
     def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n < len(self._table):
-            return self._table[n]
-        return True
+        return n >= self._apery[n % self.generators[0]]
 
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
 
     def gaps(self) -> tuple[int, ...]:
         """The finitely many nonnegative integers outside the monoid."""
-        return tuple(n for n, ok in enumerate(self._table) if not ok)
+        return tuple(n for n in range(self.frontier) if not self.contains(n))
 
     def __repr__(self) -> str:
         return f"NumericalMonoid{self.generators}"
 
 
-@lru_cache(maxsize=None)
-def _rank_one_scaling(presentation: MonoidPresentation):
-    """Scale a one-dimensional presentation onto a numerical monoid.
+_NATURALS = (Fraction(1), NumericalMonoid([1]))
 
-    Returns ``(unit, numerical)`` so that a rational ``x`` lies in the
-    monoid iff ``x / unit`` is a nonnegative integer in ``numerical``.
-    """
-    if presentation.ambient_dim != 1:
-        raise ValueError("exponent monoids must be one-dimensional")
-    values = [g[0] for g in presentation.generators]
-    if any(v <= 0 for v in values):
-        raise ValueError("exponent monoid generators must be positive")
-    denominator = lcm(*(v.denominator for v in values))
-    numerators = [v.numerator * (denominator // v.denominator) for v in values]
-    common = gcd(*numerators)
-    unit = Fraction(common, denominator)
-    return unit, NumericalMonoid([n // common for n in numerators])
+
+def _rank_one_scaling(exponent_monoid: Optional[MonoidPresentation]):
+    """``(unit, numerical)`` of an exponent monoid; ``None`` is ``N0``."""
+    return _NATURALS if exponent_monoid is None else exponent_monoid.rank_one
 
 
 def rank_one_membership(presentation: MonoidPresentation, value: Rational) -> bool:
     """Exact membership test for a one-dimensional monoid presentation."""
-    unit, numerical = _rank_one_scaling(presentation)
+    unit, numerical = presentation.rank_one
     scaled = parse_rational(value) / unit
     return scaled.denominator == 1 and numerical.contains(scaled.numerator)
 
@@ -152,16 +146,8 @@ def monoid_elements_up_to(
     """
     if bound < 0:
         return []
-    if exponent_monoid is None:
-        return [Fraction(n) for n in range(int(bound) + 1)]
     unit, numerical = _rank_one_scaling(exponent_monoid)
-    elements = []
-    n = 0
-    while n * unit <= bound:
-        if numerical.contains(n):
-            elements.append(n * unit)
-        n += 1
-    return elements
+    return [n * unit for n in range(bound // unit + 1) if numerical.contains(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +193,7 @@ class SemiringPolynomial:
         for exponent, coefficient in items:
             e = parse_rational(exponent)
             c = parse_rational(coefficient)
-            merged[e] = merged.get(e, Fraction(0)) + c
+            merged[e] = merged[e] + c if e in merged else c
         cleaned = []
         for e, c in merged.items():
             if c == 0:
@@ -342,27 +328,54 @@ class SemiringPolynomial:
         )
 
 
+def _integer_terms(*polys: SemiringPolynomial):
+    """The terms of ``polys`` on integers, with the common denominator ``den``.
+
+    Each term becomes ``(den * exponent, coefficient)``; an integral
+    coefficient becomes an ``int`` and only a fractional one stays a
+    ``Fraction``.  Returns ``den`` and one list of terms per polynomial.
+    """
+    den = lcm(*(e.denominator for poly in polys for e, _ in poly.terms))
+    return den, [
+        [
+            (e.numerator * (den // e.denominator), c.numerator if c.denominator == 1 else c)
+            for e, c in poly.terms
+        ]
+        for poly in polys
+    ]
+
+
+def _from_integer_terms(terms, den: int, like: SemiringPolynomial) -> SemiringPolynomial:
+    """Validate integer-exponent terms back into ``like``'s semiring."""
+    return SemiringPolynomial.from_terms(
+        [(Fraction(e, den), c) for e, c in terms], like.coeff_domain, like.exponent_monoid
+    )
+
+
 def poly_mul(
     f: SemiringPolynomial, g: SemiringPolynomial
 ) -> SemiringPolynomial:
     if not f.same_semiring(g):
         raise ValueError("cannot multiply across different semirings")
-    product: dict[Fraction, Fraction] = {}
-    for ef, cf in f.terms:
-        for eg, cg in g.terms:
+    den, (f_terms, g_terms) = _integer_terms(f, g)
+    product: dict[int, Rational] = {}
+    for ef, cf in f_terms:
+        for eg, cg in g_terms:
             e = ef + eg
-            product[e] = product.get(e, Fraction(0)) + cf * cg
-    return SemiringPolynomial.from_terms(
-        product, f.coeff_domain, f.exponent_monoid
-    )
+            product[e] = product.get(e, 0) + cf * cg
+    return _from_integer_terms(product.items(), den, f)
 
 
 def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
     if power < 0:
         raise ValueError("negative powers are not defined in a semiring")
     result = SemiringPolynomial.one(f.coeff_domain, f.exponent_monoid)
-    for _ in range(power):
-        result = poly_mul(result, f)
+    while power:
+        if power & 1:
+            result = poly_mul(result, f)
+        power >>= 1
+        if power:
+            f = poly_mul(f, f)
     return result
 
 
@@ -374,8 +387,10 @@ def poly_divide_exact(
     Division runs top-down by leading terms in the ambient rational setting,
     where quotients are unique; the candidate quotient is then admitted only
     if its coefficients fit the domain and its exponents lie in the monoid.
-    Exponent denominators stay within a fixed lattice, so the leading
-    exponent strictly decreases through a discrete set and the loop ends.
+    The loop runs on integer exponents over one common denominator, so the
+    leading exponent strictly decreases through the integers and the loop
+    ends.  Over ``"N"`` the coefficients are integers too, and the first
+    quotient coefficient that is not a nonnegative integer ends the division.
     """
     if not f.same_semiring(g):
         raise ValueError("cannot divide across different semirings")
@@ -383,27 +398,33 @@ def poly_divide_exact(
         raise ValueError("division by zero")
     if f.is_zero():
         return SemiringPolynomial.zero(f.coeff_domain, f.exponent_monoid)
-    lead_exp, lead_coeff = g.leading
-    remainder = dict(f.terms)
-    quotient: list[tuple[Fraction, Fraction]] = []
+    natural = f.coeff_domain == "N"
+    den, (f_terms, g_terms) = _integer_terms(f, g)
+    (lead_exp, lead_coeff), lower = g_terms[0], g_terms[1:]
+    remainder = dict(f_terms)
+    quotient = []
     while remainder:
         e_top = max(remainder)
         if e_top < lead_exp:
             return None
         q_exp = e_top - lead_exp
-        q_coeff = remainder[e_top] / lead_coeff
+        top = remainder.pop(e_top)
+        if natural:
+            q_coeff, rest = divmod(top, lead_coeff)
+            if rest or q_coeff < 0:
+                return None
+        else:
+            q_coeff = Fraction(top) / lead_coeff
         quotient.append((q_exp, q_coeff))
-        for eg, cg in g.terms:
+        for eg, cg in lower:
             e = q_exp + eg
-            value = remainder.get(e, Fraction(0)) - q_coeff * cg
-            if value == 0:
-                remainder.pop(e, None)
-            else:
+            value = remainder.get(e, 0) - q_coeff * cg
+            if value:
                 remainder[e] = value
+            else:
+                remainder.pop(e, None)
     try:
-        return SemiringPolynomial.from_terms(
-            quotient, f.coeff_domain, f.exponent_monoid
-        )
+        return _from_integer_terms(quotient, den, f)
     except ValueError:
         return None
 
@@ -425,10 +446,29 @@ def natural_atom_test(
     The search is complete: with nonnegative coefficients there is no
     cancellation, so every factor of ``f`` has coefficients bounded by the
     largest coefficient of ``f`` and exponents bounded by its largest
-    exponent.  Candidate divisors are enumerated over exactly that box (with
-    exponents restricted to the exponent monoid) in lexicographic order,
-    varying the coefficient of the largest exponent fastest, and the first
-    divisor found is returned.
+    exponent.  Candidate divisors range over exactly that box, with
+    exponents restricted to the exponent monoid, in lexicographic order from
+    the smallest exponent up (the coefficient of the largest exponent varies
+    fastest), and the first divisor found is returned.
+
+    The box is walked depth first on integer exponent indices (exponent over
+    the monoid's unit), assigning each coefficient in ascending order, which
+    visits the candidates in exactly that order.  A prefix is cut off when
+    no completion can divide ``f``:
+
+    * its lowest exponent ``a`` would lie above the lowest exponent of
+      ``f``.  Without cancellation ``low(f) = low(g) + low(h)``.
+    * a coefficient of the quotient, computed bottom-up as
+      ``h_j = (f_(a+j) - sum_(i>0) g_(a+i) h_(j-i)) / g_a``, is not a
+      nonnegative integer, or is nonzero at an index outside the monoid.
+      Such an ``h_j`` reads only coefficients of ``g`` below ``a + j + 1``,
+      so it is fixed once every exponent up to ``a + j`` is assigned: below
+      the next unassigned exponent of the monoid, which in a monoid such as
+      ``<1/2, 1/3>`` may lie more than one step above the last one.
+
+    ``f = g * h`` forces these ``h_j`` to be the coefficients of ``h``, so no
+    cut drops a divisor and the first divisor found is the box's first.  A
+    full candidate is still certified by :func:`poly_divide_exact`.
     """
     if f.coeff_domain != "N":
         raise ValueError(
@@ -436,20 +476,60 @@ def natural_atom_test(
         )
     if f.is_zero() or f.is_one():
         return False, None
-    exponents = monoid_elements_up_to(f.exponent_monoid, f.max_exponent)
-    top_coeff = int(f.max_coefficient)
-    for coeffs in itertools.product(range(top_coeff + 1), repeat=len(exponents)):
-        candidate = SemiringPolynomial.from_terms(
-            [(e, c) for e, c in zip(exponents, coeffs) if c],
-            "N",
-            f.exponent_monoid,
-        )
-        if candidate.is_zero() or candidate.is_one():
+    unit, numerical = _rank_one_scaling(f.exponent_monoid)
+    target = {(e / unit).numerator: c.numerator for e, c in f.terms}
+    top, low, bound = max(target), min(target), max(target.values())
+    f_dense = [target.get(n, 0) for n in range(top + 1)]
+    exponents = [n for n in range(top + 1) if numerical.contains(n)]
+    stops = exponents[1:] + [top + 1]
+    last = len(exponents) - 1
+    chosen = [-1] * len(exponents)
+    prefix: list[tuple[int, int]] = []  # the nonzero (exponent, coefficient) assigned so far
+    h = [0] * (top + 1)
+    p = 0
+    while p >= 0:
+        c = chosen[p] + 1
+        if c > bound:
+            chosen[p] = -1
+            p -= 1
             continue
+        chosen[p] = c
+        n = exponents[p]
+        while prefix and prefix[-1][0] >= n:
+            prefix.pop()
+        if c:
+            prefix.append((n, c))
+        if not prefix:
+            if n >= low:  # every completion starts above f's lowest exponent
+                continue
+        elif not _quotient_fits(f_dense, prefix, h, n, stops[p], numerical):
+            continue
+        if p < last:
+            p += 1
+            continue
+        if prefix == [(0, 1)]:
+            continue
+        candidate = SemiringPolynomial.from_terms(
+            [(e * unit, c) for e, c in prefix], "N", f.exponent_monoid
+        )
         quotient = poly_divide_exact(f, candidate)
         if quotient is not None and not quotient.is_one():
             return False, (candidate, quotient)
     return True, None
+
+
+def _quotient_fits(f_dense, prefix, h, n: int, stop: int, numerical) -> bool:
+    """Extend the bottom-up quotient ``h`` over the exponents ``n .. stop-1``
+    of ``f`` fixed by ``prefix``; False as soon as a coefficient cannot be one
+    of a quotient in the semiring."""
+    a, lead = prefix[0]
+    higher = prefix[1:]
+    for j in range(n - a, stop - a):
+        value = f_dense[a + j] - sum(c * h[j - e + a] for e, c in higher)
+        if value < 0 or value % lead or (value and not numerical.contains(j)):
+            return False
+        h[j] = value // lead
+    return True
 
 
 def is_additive_atom(f: SemiringPolynomial) -> bool:
@@ -596,7 +676,7 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
         raise InternalContradiction("cofactors must be positive")
 
     monoid = MonoidPresentation.from_values([a, b], label=f"numerical-{a}-{b}")
-    numerical = NumericalMonoid([a, b])
+    numerical = monoid.rank_one[1]  # the unit is gcd(a, b) = 1
 
     def binomial(high: int, low: int) -> SemiringPolynomial:
         return SemiringPolynomial.from_terms(

@@ -139,6 +139,36 @@ def dense_divide(f: Sequence, g: Sequence) -> Optional[list]:
     return q if all(c == 0 for c in r) else None
 
 
+def box_atom_test(f: Sequence[int], members) -> tuple[bool, Optional[tuple[list, list]]]:
+    """Search the whole divisor box of ``f`` over nonnegative integers.
+
+    ``f`` is a dense coefficient list over exponent indices, and ``members``
+    holds the indices that lie in the exponent monoid.  Every candidate with
+    coefficients ``0..max(f)`` on the members up to ``deg f`` is tried in
+    lexicographic order from the lowest index up, the highest index varying
+    fastest.  The first ``(g, h)`` with ``f == g * h``, neither one and ``h``
+    inside the semiring, is returned trimmed; ``(True, None)`` if there is
+    none, and ``(False, None)`` for zero and one.
+    """
+    f = dense_trim(f)
+    if not f or f == [1]:
+        return False, None
+    slots = [n for n in range(len(f)) if n in members]
+    for coeffs in itertools.product(range(max(f) + 1), repeat=len(slots)):
+        g = [0] * len(f)
+        for n, c in zip(slots, coeffs):
+            g[n] = c
+        g = dense_trim(g)
+        if not g or g == [1]:
+            continue
+        h = dense_divide(f, g)
+        if h is None or h == [1]:
+            continue
+        if all(c >= 0 and c.denominator == 1 and (c == 0 or n in members) for n, c in enumerate(h)):
+            return False, (g, [int(c) for c in h])
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # Box oracles for factorizations and relations (rational generators)
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from factolab.semiring import (
     rank_one_membership,
 )
 
-from helpers import dense_divide, dense_mul, dense_trim
+from helpers import box_atom_test, dense_divide, dense_mul, dense_trim
 
 
 def nat_poly(*ascending_coeffs):
@@ -82,6 +82,28 @@ def test_numerical_monoid_agrees_with_direct_search():
             reachable |= {r + g for r in reachable for g in gens if r + g <= 60}
         for n in range(61):
             assert nm.contains(n) == (n in reachable), (gens, n)
+
+
+def test_numerical_monoid_frontier_is_the_conductor():
+    for a, b in [(2, 3), (3, 5), (5, 7), (8, 9), (47, 53), (97, 101)]:
+        assert NumericalMonoid([a, b]).frontier == a * b - a - b + 1
+    assert NumericalMonoid([1, 5]).frontier == 0
+
+
+def test_numerical_monoid_gaps_of_a_wide_pair():
+    a, b = 397, 401
+    gaps = NumericalMonoid([a, b]).gaps()
+    assert len(gaps) == (a - 1) * (b - 1) // 2
+    assert max(gaps) == a * b - a - b
+
+
+def test_numerical_monoid_of_a_large_pair():
+    a, b = 3001, 3007
+    nm = NumericalMonoid([a, b])
+    frobenius = a * b - a - b
+    assert not nm.contains(frobenius)
+    assert nm.contains(frobenius + 1)
+    assert nm.contains(0)
 
 
 def test_numerical_monoid_rejects_bad_generators():
@@ -335,6 +357,89 @@ def test_natural_atom_test_over_exponent_monoid():
     # the divisor box is scanned with the largest exponent varying fastest,
     # so x^3 is tried before x^2
     assert natural_atom_test(mono(5)) == (False, (mono(3), mono(2)))
+
+
+HALF_THIRD = MonoidPresentation.from_values([Fraction(1, 2), Fraction(1, 3)])
+
+
+def dense_indices(poly, unit):
+    """Coefficients of ``poly`` as a dense list over exponent / unit."""
+    dense = [0] * (int(poly.max_exponent / unit) + 1)
+    for e, c in poly.terms:
+        dense[int(e / unit)] = int(c)
+    return dense
+
+
+def assert_search_matches_box(f_dense, monoid, unit, members):
+    f = SemiringPolynomial.from_terms(
+        [(n * unit, c) for n, c in enumerate(f_dense) if c], "N", monoid
+    )
+    is_atom, witness = natural_atom_test(f)
+    expected_atom, expected_witness = box_atom_test(f_dense, members)
+    assert is_atom == expected_atom, str(f)
+    if witness is None:
+        assert expected_witness is None, str(f)
+    else:
+        assert tuple(dense_indices(part, unit) for part in witness) == expected_witness, str(f)
+    return expected_witness
+
+
+def box_rank(g, f_dense, members):
+    """Position of the divisor ``g`` in the box's lexicographic order, as a share."""
+    slots = [n for n in range(len(f_dense)) if n in members]
+    base = max(f_dense) + 1
+    rank = 0
+    for n in slots:
+        rank = rank * base + (g[n] if n < len(g) else 0)
+    return rank / base ** len(slots)
+
+
+def test_pruned_atom_search_matches_the_box():
+    rng = random.Random(6160)
+    spaces = [
+        (None, Fraction(1), range(10**6), 4),
+        (HALF_THIRD, Fraction(1, 6), {n for n in range(64) if n != 1}, 6),
+    ]
+    for monoid, unit, members, top in spaces:
+        def draw(degree, cmax):
+            return [rng.randint(0, cmax) if n in members else 0 for n in range(degree + 1)]
+
+        seen = 0
+        while seen < 60:
+            if rng.random() < 0.3:
+                f_dense = dense_trim(draw(rng.randint(0, top), 3))
+            else:
+                f_dense = dense_trim(dense_mul(draw(rng.randint(0, top // 2), 2),
+                                               draw(rng.randint(0, top // 2), 2)))
+            if not f_dense or len(f_dense) > top + 1 or max(f_dense) > 3:
+                continue
+            assert_search_matches_box(f_dense, monoid, unit, members)
+            seen += 1
+
+
+def test_pruned_atom_search_finds_divisors_deep_in_the_box():
+    naturals = range(10**6)
+    sixths = {n for n in range(64) if n != 1}
+    cases = [
+        (None, Fraction(1), naturals, [2, 1], [2, 1]),  # 4 + 4x + x^2
+        (None, Fraction(1), naturals, [3, 1], [3, 2]),
+        (None, Fraction(1), naturals, [2, 0, 1], [3, 1]),
+        (HALF_THIRD, Fraction(1, 6), sixths, [2, 0, 0, 1], [2, 0, 1]),
+        (HALF_THIRD, Fraction(1, 6), sixths, [2, 0, 1, 1], [2, 0, 1]),
+    ]
+    for monoid, unit, members, g, h in cases:
+        f_dense = dense_mul(g, h)
+        witness = assert_search_matches_box(f_dense, monoid, unit, members)
+        assert witness is not None
+        assert box_rank(witness[0], f_dense, members) > 0.25
+
+
+def test_natural_atom_test_hard_cases():
+    assert natural_atom_test(nat_poly(3, 3, 3, 3, 3, 3, 3, 1)) == (True, None)
+    x_plus_1 = nat_poly(1, 1)
+    assert natural_atom_test(poly_pow(x_plus_1, 6)) == (
+        False, (x_plus_1, poly_pow(x_plus_1, 5))
+    )
 
 
 def test_natural_atom_test_rejects_rational_domain():
