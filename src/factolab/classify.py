@@ -259,8 +259,11 @@ def relation_evidence(
     form = presentation.integer_form
     unit, _, grades = form.integer_grading(grading)
     groups: dict[tuple[int, ...], list[FactorizationVector]] = {}
-    for z, value in graded_walk(form.columns, grades, floor(Fraction(bound) * unit), False):
-        groups.setdefault(value, []).append(tuple(z))
+    last, last_grade = form.columns[-1], grades[-1]
+    for z, value, left in graded_walk(form.columns, grades, floor(Fraction(bound) * unit)):
+        for m in range(left // last_grade + 1):
+            z[-1] = m
+            groups.setdefault(tuple(v + m * c for v, c in zip(value, last)), []).append(tuple(z))
 
     # Scaled grades and elements sort as the rational ones do.
     found: list[tuple] = []

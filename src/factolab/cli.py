@@ -8,7 +8,8 @@ simple flags, and writes a single deterministic JSON document to stdout
 * 1 — bad input: unreadable file, malformed JSON (reported with line and
   column), or a value the library rejects,
 * 2 — ``gallery`` ran but at least one fixture disagreed with its expected
-  classification.
+  classification,
+* 3 — a search ran out of its step budget.
 
 The gallery truncation defaults to 4 and can be set with the
 ``FACTOLAB_TRUNCATION_K`` environment variable; an explicit ``--k`` flag
@@ -26,6 +27,7 @@ from typing import Optional
 from .classify import classify, relation_evidence
 from .construct import MasterSpec, build_master_monoid, fixture_gallery, pls_example, verify_gallery
 from .monoid import (
+    BudgetExceeded,
     MonoidPresentation,
     enumerate_factorizations,
     normalize_atoms,
@@ -340,6 +342,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

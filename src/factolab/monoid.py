@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import (
     DimensionMismatch,
@@ -68,6 +68,13 @@ class DuplicateGenerator(ValueError):
 
 class NotNormalized(ValueError):
     """The operation requires a duplicate-free, atoms-only presentation."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A search walked more steps than its budget allows."""
+
+
+MAX_STEPS = 10**6  # the step budget of enumerate_factorizations
 
 
 def as_element(values: Iterable) -> QVector:
@@ -203,13 +210,33 @@ def validate_presentation(presentation: MonoidPresentation) -> Grading:
 # ---------------------------------------------------------------------------
 
 
+class Reduction(NamedTuple):
+    """The integer Gauss-Jordan form T X = R of the columns X, pivots taken last
+    column first.  A free column then lies in the span of the pivot columns
+    after it, so a lexicographic walk of the free exponents is lexicographic in
+    z.  The last free exponent m solves w m = acc (mod lead) in pivot row
+    ``row``: ``gcd`` = gcd(w, lead) divides acc, and m = acc / gcd * inverse
+    (mod step), where step = lead / gcd."""
+
+    transforms: tuple[IntVector, ...]  # T; its rows past the pivot rows vanish on X
+    leads: IntVector  # per pivot row, the only nonzero entry of its column in R, > 0
+    free: IntVector  # the free column indices
+    columns: tuple[IntVector, ...]  # the free columns of R
+    order: IntVector  # puts the free, then the pivot exponents in column order
+    row: int = 0
+    gcd: int = 1
+    step: int = 1
+    inverse: int = 0
+
+
 class IntegerForm:
     """A validated presentation in integers, built once on first use.
 
     Coordinate row i times ``scales[i]`` makes every generator an integer
     column.  A grading h becomes integer weights u on the scaled coordinates
     with u . X = c * h(x) for one integer c > 0.  Both scalings are positive,
-    so they keep every relation, factorization and order of elements.
+    so they keep every relation, factorization and order of elements.  The
+    factorization search runs on ``reduction``, an elimination of the columns.
     """
 
     def __init__(self, presentation: MonoidPresentation):
@@ -264,39 +291,103 @@ class IntegerForm:
         return integer_kernel(IntMatrix.from_rows(tuple(zip(*self.columns))))
 
     @cached_property
+    def reduction(self) -> Reduction:
+        d, k = len(self.scales), len(self.columns)
+        rows = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(zip(*self.columns))]
+        pivots: list[int] = []
+        for j in reversed(range(k)):
+            p = next((i for i in range(len(pivots), d) if rows[i][j]), None)
+            if p is None:
+                continue
+            g = math.gcd(*rows[p]) * (1 if rows[p][j] > 0 else -1)
+            lead = [x // g for x in rows[p]]
+            rows[p], rows[len(pivots)] = rows[len(pivots)], lead
+            for i, row in enumerate(rows):
+                if row is not lead and row[j]:
+                    row = [lead[j] * x - row[j] * y for x, y in zip(row, lead)]
+                    g = math.gcd(*row)
+                    rows[i] = [x // g for x in row]
+            pivots.append(j)
+        leads = tuple(rows[i][j] for i, j in enumerate(pivots))
+        free = [j for j in range(k) if j not in pivots]
+        columns = tuple(tuple(row[j] for row in rows[:len(pivots)]) for j in free)
+        order = tuple(sorted(range(k), key=(free + pivots).__getitem__))
+        congruence = ()
+        if free:  # the pivot row whose congruence has the widest step
+            w = columns[-1]
+            step, i = max((lead // math.gcd(c, lead), i) for i, (c, lead) in enumerate(zip(w, leads)))
+            g = leads[i] // step
+            congruence = i, g, step, pow(w[i] // g, -1, step)
+        transforms = tuple(tuple(row[k:]) for row in rows)
+        return Reduction(transforms, leads, tuple(free), columns, order, *congruence)
+
+    def solutions(
+        self, target: IntVector, grades: Sequence[int], budget: int, max_steps: float
+    ) -> Iterator[FactorizationVector]:
+        """Every z >= 0 with X z == target, of grade ``budget``, in lexicographic
+        order.  Each walked prefix and each candidate for the last free exponent
+        is a step; more than ``max_steps`` steps raise BudgetExceeded."""
+        r = self.reduction
+        leads, order = r.leads, r.order
+        image = [sum(map(mul, row, target)) for row in r.transforms]
+        if any(image[len(leads):]):  # outside the span of the columns
+            return
+        if not r.free:  # independent columns: one candidate
+            pivots = [divmod(b, lead) for b, lead in zip(image, leads)]
+            if all(not rest and q >= 0 for q, rest in pivots):
+                yield tuple(pivots[j][0] for j in order)
+            return
+        last, last_grade = r.columns[-1], grades[r.free[-1]]
+        row, g, step, inverse = r.row, r.gcd, r.step, r.inverse
+        steps = 0
+        for z, value, left in graded_walk(r.columns, [grades[j] for j in r.free], budget):
+            acc = [b - v for b, v in zip(image, value)]
+            a, rest = divmod(acc[row], g)
+            ms = range(0) if rest else range(a * inverse % step, left // last_grade + 1, step)
+            steps += 1 + len(ms)
+            if steps > max_steps:
+                raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
+            for m in ms:
+                pivots = []
+                for b, w, lead in zip(acc, last, leads):
+                    q, rest = divmod(b - w * m, lead)
+                    if rest or q < 0:
+                        break
+                    pivots.append(q)
+                else:
+                    z[-1] = m
+                    yield tuple(map((z + pivots).__getitem__, order))
+
+    @cached_property
     def atom_defects(self) -> tuple[Optional[FactorizationVector], ...]:
         """Per generator, its lexicographically first decomposition of length
-        >= 2, or None when it is an atom.  The walk stops at that first one."""
+        >= 2, or None when it is an atom.  The search stops at that first one."""
         return tuple(
-            next((tuple(z) for z, value in graded_walk(self.columns, self.grades, grade, True)
-                  if value == target and sum(z) >= 2), None)
+            next((z for z in self.solutions(target, self.grades, grade, math.inf) if sum(z) >= 2),
+                 None)
             for target, grade in zip(self.columns, self.grades)
         )
 
 
 def graded_walk(
-    columns: Sequence[IntVector], grades: Sequence[int], budget: int, exact: bool
-) -> Iterator[tuple[list[int], IntVector]]:
-    """Yield (z, sum_j z_j * columns[j]) for every exponent vector z of grade
-    <= budget, or == budget when ``exact``, in lexicographic order.
+    columns: Sequence[IntVector], grades: Sequence[int], budget: int
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """Yield (z, sum_j z_j * columns[j], grade left) for every exponent vector
+    z on all columns but the last with grade <= budget, in lexicographic order.
 
     The grades are positive integers and cap every exponent at
-    budget // grades[j]; in an exact walk the last exponent is whatever grade
-    is left, if it divides evenly.  ``z`` is the walk's own list, changed by
-    the next step, so a caller copies what it keeps.
+    budget // grades[j].  The caller's leaf rule sets the last exponent z[-1].
+    ``z`` and the value are the walk's own lists, changed by the next step,
+    so a caller copies what it keeps.
     """
     if budget < 0:
         return
     last = len(columns) - 1
     z = [0] * len(columns)
     value = [0] * len(columns[0])
-    last_column, last_grade = columns[last], grades[last]
     left = budget
     while True:
-        m, rest = divmod(left, last_grade)
-        for m in (() if rest else (m,)) if exact else range(m + 1):
-            z[last] = m
-            yield z, tuple(v + m * c for v, c in zip(value, last_column))
+        yield z, value, left
         # the lexicographic successor of the prefix z[:last] within the budget
         i = last - 1
         while i >= 0 and left < grades[i]:
@@ -327,8 +418,8 @@ def enumerate_factorizations(
 
     The positive grading caps every exponent: z_i <= h(x) / h(g_i).  The empty
     tuple means the element is not in the monoid.  Generators need not be
-    atoms; the result is then a multiset of generator decompositions rather
-    than factorizations into atoms.
+    atoms; the result then lists generator decompositions.  A search longer
+    than MAX_STEPS steps (see IntegerForm.solutions) raises BudgetExceeded.
     """
     x = as_element(element)
     if len(x) != presentation.ambient_dim:
@@ -339,10 +430,8 @@ def enumerate_factorizations(
     if any(q.denominator != 1 for q in scaled):
         return ()  # a coordinate off the scaled integer grid: not in the monoid
     target = tuple(q.numerator for q in scaled)
-    budget = sum(u * t for u, t in zip(weights, target))
-    return tuple(
-        tuple(z) for z, value in graded_walk(form.columns, grades, budget, True) if value == target
-    )
+    budget = sum(map(mul, weights, target))
+    return tuple(form.solutions(target, grades, budget, MAX_STEPS))
 
 
 def length_set(

@@ -450,29 +450,37 @@ def _instance_elements(presentation, spec, headroom: int):
     mstar = presentation.evaluate(master_exponents)
     gens = presentation.generators
     grades = [h.grade(g) for g in gens]
+    # walk in integers: coordinates times one common denominator, grades
+    # times theirs; the Fraction keys are built once, at the end
+    scale = math.lcm(*(c.denominator for g in gens for c in g))
+    columns = [[int(c * scale) for c in g] for g in gens]
+    grade_scale = math.lcm(*(q.denominator for q in grades))
+    int_grades = [int(q * grade_scale) for q in grades]
     seeds: dict[tuple, tuple[int, ...]] = {}
     acc = [0] * k
 
-    def walk(idx: int, budget: Fraction, val: list[Fraction]) -> None:
+    def walk(idx: int, budget: int, val: list[int]) -> None:
         if idx == k:
-            x = tuple(a + b for a, b in zip(mstar, val))
+            x = tuple(val)
             if x not in seeds:
                 seeds[x] = tuple(
                     w + extra for w, extra in zip(acc, master_exponents)
                 )
             return
-        cap = int(budget / grades[idx])
-        for t in range(cap + 1):
+        for t in range(budget // int_grades[idx] + 1):
             acc[idx] = t
             walk(
                 idx + 1,
-                budget - t * grades[idx],
-                [v + t * c for v, c in zip(val, gens[idx])],
+                budget - t * int_grades[idx],
+                [v + t * c for v, c in zip(val, columns[idx])],
             )
         acc[idx] = 0
 
-    walk(0, Fraction(headroom), [Fraction(0)] * presentation.ambient_dim)
-    return h, seeds
+    walk(0, headroom * grade_scale, [0] * presentation.ambient_dim)
+    return h, {
+        tuple(m + Fraction(v, scale) for m, v in zip(mstar, x)): z
+        for x, z in seeds.items()
+    }
 
 
 def _check_lfm_divisor_property_via_library(presentation, h, x, chain) -> None:

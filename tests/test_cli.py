@@ -118,6 +118,14 @@ def test_factorize_dimension_mismatch(p23):
     assert result.returncode == 1
 
 
+def test_factorize_over_budget_exits_3(p23):
+    # about 16.7 million factorizations: the default step budget stops the search
+    result = run_cli("factorize", p23, "--element", "100000000")
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
+
+
 def test_evidence(p23, capsys):
     code, out = run_inproc(
         "evidence", p23, "--bound", "20", capsys=capsys

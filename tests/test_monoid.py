@@ -13,6 +13,7 @@ import pytest
 from factolab.classify import relation_evidence
 from factolab.linalg import dot
 from factolab.monoid import (
+    BudgetExceeded,
     DuplicateGenerator,
     Grading,
     InvalidGenerator,
@@ -28,7 +29,13 @@ from factolab.monoid import (
     normalize_atoms,
     validate_presentation,
 )
-from helpers import box_evaluate, box_factorizations, box_relations, reference_grading
+from helpers import (
+    box_evaluate,
+    box_factorizations,
+    box_relations,
+    reference_grading,
+    solve_rational_combination,
+)
 
 
 def numerical(*values, label=None):
@@ -359,6 +366,112 @@ def test_walk_matches_box_oracles():
         rels = relation_evidence(q, bound, coordinate_sum)
         assert [(r.left, r.right) for r in rels] == box_relations(keep, sum, bound)
     assert checked >= 100
+
+
+def random_elimination_generators(rng):
+    """5-7 distinct generators in Q^2..Q^4 with dependent columns before the
+    last: the one before the last is a multiple of the last, and the one at
+    position j < k - 3 is the sum of two after it.  The others have
+    coordinate sum in [1, 3].  Sometimes the last coordinate copies the
+    first, which leaves the span a proper subspace."""
+    d = rng.randint(2, 4)
+    k = rng.randint(5, 7)
+    copy = d >= 3 and rng.random() < 0.5
+    gens = []
+    while len(gens) < k - 2:
+        g = [rng.choice(WALK_POOL) for _ in range(d)]
+        if copy:
+            g[-1] = g[0]
+        if 1 <= sum(g) <= 3 and tuple(g) not in gens:
+            gens.append(tuple(g))
+    ratio = rng.choice((Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(2)))
+    gens.insert(k - 3, tuple(ratio * c for c in gens[-1]))
+    j = rng.randrange(k - 3)
+    a, b = rng.sample(range(j, k - 1), 2)
+    gens.insert(j, tuple(x + y for x, y in zip(gens[a], gens[b])))
+    if len(set(gens)) < k:
+        return random_elimination_generators(rng)
+    return gens, j, copy
+
+
+def test_elimination_matches_box_oracles():
+    """The search by elimination against the box, where a column before the
+    last depends on later ones, so the pivot columns are not a suffix; the
+    box lists its vectors in lexicographic order, and so must the search."""
+    rng = random.Random(7071)
+    checked = outside = scattered = reducible = several = 0
+    for _ in range(30):
+        gens, j, copy = random_elimination_generators(rng)
+        p = MonoidPresentation.from_generators(gens)
+        d, k = len(gens[0]), len(gens)
+        # column j is free when it lies in the span of the columns after it
+        free = [j for j in range(k) if solve_rational_combination(gens[j + 1:], gens[j]) is not None]
+        assert k - len(free) >= 2
+        scattered += free != list(range(len(free)))
+        coordinate_sum = Grading(tuple(Fraction(1) for _ in range(d)))
+
+        def caps(x):
+            return [math.floor(sum(x) / sum(g)) for g in gens]
+
+        z0 = [int(i == j or rng.random() < 0.3) for i in range(k)]
+        x = box_evaluate(gens, z0)  # column j gives x a second factorization
+        below = tuple(a - b for a, b in zip(x, rng.choice(gens)))
+        off_grid = (x[0] + Fraction(1, 7),) + x[1:]
+        negative = tuple(-c for c in gens[0])
+        targets = [x, below, off_grid, negative]
+        if copy:
+            targets.append(gens[0][:-1] + (gens[0][-1] + 1,))  # outside the span
+        for y in targets:
+            if math.prod(c + 1 for c in caps(y)) > 1000:
+                continue
+            want = box_factorizations(gens, y, caps(y))
+            assert list(enumerate_factorizations(p, y)) == want, (gens, y)
+            assert list(enumerate_factorizations(p, y, coordinate_sum)) == want
+            assert length_set(p, y, coordinate_sum) == {sum(z) for z in want}
+            checked += 1
+            outside += y is targets[-1] and copy
+            several += len(want) >= 2
+        assert enumerate_factorizations(p, off_grid) == ()
+
+        if sum(math.prod(c + 1 for c in caps(g)) for g in gens) > 1000:
+            continue
+        witness = [
+            next((z for z in box_factorizations(gens, g, caps(g)) if sum(z) >= 2), None)
+            for g in gens
+        ]
+        i = next((i for i, w in enumerate(witness) if w is not None), None)
+        if i is None:
+            assert normalize_atoms(p, "reject") is p
+        else:
+            with pytest.raises(NotAnAtom) as exc:
+                normalize_atoms(p, "reject")
+            assert (exc.value.index, exc.value.witness) == (i, witness[i])
+            reducible += 1
+    assert checked >= 80 and outside >= 3 and reducible >= 10 and several >= 10
+    assert scattered == 30
+
+
+def test_atom_check_of_a_seven_generator_presentation_in_q4():
+    p = MonoidPresentation.from_generators([
+        ("-2/3", "4/3", "-1", "1"), ("3", "2", "0", "3"), ("4/3", "4", "-1/3", "-1"),
+        ("2", "-1", "1", "0"), ("0", "-2", "1", "-1"), ("4", "-1", "2", "-1"),
+        ("2", "3", "2/3", "-2"),
+    ])
+    with pytest.raises(NotAnAtom) as exc:
+        normalize_atoms(p, "reject")
+    assert (exc.value.index, exc.value.witness) == (3, (3, 0, 0, 0, 2, 1, 0))
+    assert p.evaluate(exc.value.witness) == p.generators[3]
+
+
+def test_enumeration_step_budget(monkeypatch):
+    p = numerical(2, 3)
+    assert len(enumerate_factorizations(p, [1000])) == 167
+    # one prefix of the walk and 167 candidates for the free exponent
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 168)
+    assert len(enumerate_factorizations(p, [1000])) == 167
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 167)
+    with pytest.raises(BudgetExceeded, match="budget of 167 steps"):
+        enumerate_factorizations(p, [1000])
 
 
 # ---------------------------------------------------------------------------
