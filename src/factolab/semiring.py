@@ -27,12 +27,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from .classify import FactorizationRelation
 from .linalg import InternalContradiction, Rational, format_rational, parse_rational
-from .monoid import MonoidPresentation
+from . import monoid as _monoid
+from .monoid import BudgetExceeded, MonoidPresentation
 
 __all__ = [
     "AlgebraWitness",
@@ -88,6 +90,8 @@ class NumericalMonoid:
             )
         self.generators = gens
         m = gens[0]
+        if m > _monoid.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
+            raise BudgetExceeded(f"smallest generator {m} exceeds the budget of {_monoid.MAX_STEPS} steps")
         apery: list[Optional[int]] = [None] * m
         apery[0] = 0
         heap = [(0, 0)]
@@ -155,27 +159,20 @@ def monoid_elements_up_to(
 # ---------------------------------------------------------------------------
 
 
-def _validate_exponent(
-    exponent: Fraction, exponent_monoid: Optional[MonoidPresentation]
-) -> bool:
-    if exponent_monoid is None:
-        return exponent >= 0 and exponent.denominator == 1
-    return rank_one_membership(exponent_monoid, exponent)
-
-
 @dataclass(frozen=True)
 class SemiringPolynomial:
     """A sparse polynomial over a coefficient domain and exponent monoid.
 
-    ``terms`` maps exponents to nonzero coefficients, stored sorted by
-    descending exponent.  ``coeff_domain`` is ``"N"`` (nonnegative integers)
-    or ``"Q"`` (rationals).  ``exponent_monoid`` is ``None`` for natural
-    exponents or a one-dimensional presentation of a Puiseux-type monoid.
-    Use :meth:`from_terms` rather than the raw constructor; it normalizes,
-    merges and validates.
+    ``coeff_domain`` is ``"N"`` (nonnegative integers) or ``"Q"``
+    (rationals).  ``exponent_monoid`` is ``None`` for natural exponents or a
+    one-dimensional presentation of a Puiseux-type monoid.  Exponents are
+    stored as indices ``n`` over the monoid's unit (exponent ``n * unit``):
+    ``index_terms`` holds ``(n, c)`` with ``c`` nonzero, by descending ``n``,
+    and ``c`` an ``int`` unless fractional.  Equality and hashing read this
+    form; :attr:`terms` is the ``Fraction`` view.  Build with :meth:`from_terms`.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    index_terms: tuple[tuple[int, Rational], ...]
     coeff_domain: str = "N"
     exponent_monoid: Optional[MonoidPresentation] = None
 
@@ -186,6 +183,12 @@ class SemiringPolynomial:
         coeff_domain: str = "N",
         exponent_monoid: Optional[MonoidPresentation] = None,
     ) -> "SemiringPolynomial":
+        """Parse, merge and validate ``(exponent, coefficient)`` pairs.
+
+        Each exponent is divided by the monoid's unit once, here, and only
+        when a nonzero term is left, so :meth:`zero` builds over any monoid.
+        A coefficient or exponent outside the semiring raises ``ValueError``.
+        """
         if coeff_domain not in ("N", "Q"):
             raise ValueError(f"unknown coefficient domain {coeff_domain!r}")
         merged: dict[Fraction, Fraction] = {}
@@ -194,19 +197,40 @@ class SemiringPolynomial:
             e = parse_rational(exponent)
             c = parse_rational(coefficient)
             merged[e] = merged[e] + c if e in merged else c
-        cleaned = []
-        for e, c in merged.items():
-            if c == 0:
+        unit = _rank_one_scaling(exponent_monoid)[0] if any(merged.values()) else 1
+        return cls._from_index_terms(
+            [(e / unit, c) for e, c in merged.items()], coeff_domain, exponent_monoid
+        )
+
+    @classmethod
+    def _from_index_terms(
+        cls, terms, coeff_domain: str, exponent_monoid: Optional[MonoidPresentation]
+    ) -> "SemiringPolynomial":
+        """Validate merged ``(index, coefficient)`` pairs, as :meth:`from_terms`
+        does; an index is an ``int``, or from :meth:`from_terms` a ``Fraction``
+        that must be integral.  Zero coefficients are dropped."""
+        kept = []
+        numerical = None
+        for n, c in terms:
+            if not c:
                 continue
             if coeff_domain == "N" and (c < 0 or c.denominator != 1):
-                raise ValueError(
-                    f"coefficient {c} is not a nonnegative integer"
-                )
-            if not _validate_exponent(e, exponent_monoid):
-                raise ValueError(f"exponent {e} lies outside the monoid")
-            cleaned.append((e, c))
-        cleaned.sort(key=lambda t: t[0], reverse=True)
-        return cls(tuple(cleaned), coeff_domain, exponent_monoid)
+                raise ValueError(f"coefficient {c} is not a nonnegative integer")
+            if numerical is None:
+                unit, numerical = _rank_one_scaling(exponent_monoid)
+            if n.denominator != 1 or not numerical.contains(n.numerator):
+                raise ValueError(f"exponent {n * unit} lies outside the monoid")
+            kept.append((n.numerator, c.numerator if c.denominator == 1 else c))
+        kept.sort(reverse=True)  # indices are distinct, so only they are compared
+        return cls(tuple(kept), coeff_domain, exponent_monoid)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The ``Fraction`` pairs ``(exponent, coefficient)``, built on first read."""
+        if not self.index_terms:
+            return ()
+        unit = _rank_one_scaling(self.exponent_monoid)[0]
+        return tuple((n * unit, Fraction(c)) for n, c in self.index_terms)
 
     @classmethod
     def monomial(
@@ -237,10 +261,10 @@ class SemiringPolynomial:
         return cls.from_terms([(0, 1)], coeff_domain, exponent_monoid)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.index_terms
 
     def is_one(self) -> bool:
-        return self.terms == ((Fraction(0), Fraction(1)),)
+        return self.index_terms == ((0, 1),)
 
     @property
     def max_exponent(self) -> Optional[Fraction]:
@@ -249,12 +273,6 @@ class SemiringPolynomial:
     @property
     def max_coefficient(self) -> Optional[Fraction]:
         return max(c for _, c in self.terms) if self.terms else None
-
-    @property
-    def leading(self) -> tuple[Fraction, Fraction]:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return self.terms[0]
 
     def same_semiring(self, other: "SemiringPolynomial") -> bool:
         return (
@@ -328,48 +346,25 @@ class SemiringPolynomial:
         )
 
 
-def _integer_terms(*polys: SemiringPolynomial):
-    """The terms of ``polys`` on integers, with the common denominator ``den``.
-
-    Each term becomes ``(den * exponent, coefficient)``; an integral
-    coefficient becomes an ``int`` and only a fractional one stays a
-    ``Fraction``.  Returns ``den`` and one list of terms per polynomial.
-    """
-    den = lcm(*(e.denominator for poly in polys for e, _ in poly.terms))
-    return den, [
-        [
-            (e.numerator * (den // e.denominator), c.numerator if c.denominator == 1 else c)
-            for e, c in poly.terms
-        ]
-        for poly in polys
-    ]
-
-
-def _from_integer_terms(terms, den: int, like: SemiringPolynomial) -> SemiringPolynomial:
-    """Validate integer-exponent terms back into ``like``'s semiring."""
-    return SemiringPolynomial.from_terms(
-        [(Fraction(e, den), c) for e, c in terms], like.coeff_domain, like.exponent_monoid
-    )
-
-
 def poly_mul(
     f: SemiringPolynomial, g: SemiringPolynomial
 ) -> SemiringPolynomial:
     if not f.same_semiring(g):
         raise ValueError("cannot multiply across different semirings")
-    den, (f_terms, g_terms) = _integer_terms(f, g)
     product: dict[int, Rational] = {}
-    for ef, cf in f_terms:
-        for eg, cg in g_terms:
-            e = ef + eg
-            product[e] = product.get(e, 0) + cf * cg
-    return _from_integer_terms(product.items(), den, f)
+    for nf, cf in f.index_terms:
+        for ng, cg in g.index_terms:
+            n = nf + ng
+            product[n] = product.get(n, 0) + cf * cg
+    return SemiringPolynomial._from_index_terms(
+        product.items(), f.coeff_domain, f.exponent_monoid
+    )
 
 
 def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
     if power < 0:
         raise ValueError("negative powers are not defined in a semiring")
-    result = SemiringPolynomial.one(f.coeff_domain, f.exponent_monoid)
+    result = SemiringPolynomial._from_index_terms([(0, 1)], f.coeff_domain, f.exponent_monoid)
     while power:
         if power & 1:
             result = poly_mul(result, f)
@@ -387,8 +382,8 @@ def poly_divide_exact(
     Division runs top-down by leading terms in the ambient rational setting,
     where quotients are unique; the candidate quotient is then admitted only
     if its coefficients fit the domain and its exponents lie in the monoid.
-    The loop runs on integer exponents over one common denominator, so the
-    leading exponent strictly decreases through the integers and the loop
+    The loop runs on the exponent indices of the shared monoid, so the
+    leading index strictly decreases through the integers and the loop
     ends.  Over ``"N"`` the coefficients are integers too, and the first
     quotient coefficient that is not a nonnegative integer ends the division.
     """
@@ -396,12 +391,9 @@ def poly_divide_exact(
         raise ValueError("cannot divide across different semirings")
     if g.is_zero():
         raise ValueError("division by zero")
-    if f.is_zero():
-        return SemiringPolynomial.zero(f.coeff_domain, f.exponent_monoid)
     natural = f.coeff_domain == "N"
-    den, (f_terms, g_terms) = _integer_terms(f, g)
-    (lead_exp, lead_coeff), lower = g_terms[0], g_terms[1:]
-    remainder = dict(f_terms)
+    (lead_exp, lead_coeff), lower = g.index_terms[0], g.index_terms[1:]
+    remainder = dict(f.index_terms)
     quotient = []
     while remainder:
         e_top = max(remainder)
@@ -424,7 +416,9 @@ def poly_divide_exact(
             else:
                 remainder.pop(e, None)
     try:
-        return _from_integer_terms(quotient, den, f)
+        return SemiringPolynomial._from_index_terms(
+            quotient, f.coeff_domain, f.exponent_monoid
+        )
     except ValueError:
         return None
 
@@ -451,10 +445,10 @@ def natural_atom_test(
     the smallest exponent up (the coefficient of the largest exponent varies
     fastest), and the first divisor found is returned.
 
-    The box is walked depth first on integer exponent indices (exponent over
-    the monoid's unit), assigning each coefficient in ascending order, which
-    visits the candidates in exactly that order.  A prefix is cut off when
-    no completion can divide ``f``:
+    The box is walked depth first on the exponent indices of ``f``'s index
+    form, assigning each coefficient in ascending order, which visits the
+    candidates in exactly that order.  A prefix is cut off when no
+    completion can divide ``f``:
 
     * its lowest exponent ``a`` would lie above the lowest exponent of
       ``f``.  Without cancellation ``low(f) = low(g) + low(h)``.
@@ -468,7 +462,9 @@ def natural_atom_test(
 
     ``f = g * h`` forces these ``h_j`` to be the coefficients of ``h``, so no
     cut drops a divisor and the first divisor found is the box's first.  A
-    full candidate is still certified by :func:`poly_divide_exact`.
+    full candidate is still certified by :func:`poly_divide_exact`.  Each
+    assigned coefficient is a step; a search longer than
+    ``factolab.monoid.MAX_STEPS`` steps raises :class:`BudgetExceeded`.
     """
     if f.coeff_domain != "N":
         raise ValueError(
@@ -476,8 +472,8 @@ def natural_atom_test(
         )
     if f.is_zero() or f.is_one():
         return False, None
-    unit, numerical = _rank_one_scaling(f.exponent_monoid)
-    target = {(e / unit).numerator: c.numerator for e, c in f.terms}
+    numerical = _rank_one_scaling(f.exponent_monoid)[1]
+    target = dict(f.index_terms)
     top, low, bound = max(target), min(target), max(target.values())
     f_dense = [target.get(n, 0) for n in range(top + 1)]
     exponents = [n for n in range(top + 1) if numerical.contains(n)]
@@ -486,13 +482,17 @@ def natural_atom_test(
     chosen = [-1] * len(exponents)
     prefix: list[tuple[int, int]] = []  # the nonzero (exponent, coefficient) assigned so far
     h = [0] * (top + 1)
-    p = 0
+    p = steps = 0
+    max_steps = _monoid.MAX_STEPS
     while p >= 0:
         c = chosen[p] + 1
         if c > bound:
             chosen[p] = -1
             p -= 1
             continue
+        steps += 1
+        if steps > max_steps:
+            raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
         chosen[p] = c
         n = exponents[p]
         while prefix and prefix[-1][0] >= n:
@@ -509,9 +509,7 @@ def natural_atom_test(
             continue
         if prefix == [(0, 1)]:
             continue
-        candidate = SemiringPolynomial.from_terms(
-            [(e * unit, c) for e, c in prefix], "N", f.exponent_monoid
-        )
+        candidate = SemiringPolynomial._from_index_terms(prefix, "N", f.exponent_monoid)
         quotient = poly_divide_exact(f, candidate)
         if quotient is not None and not quotient.is_one():
             return False, (candidate, quotient)
@@ -541,7 +539,7 @@ def is_additive_atom(f: SemiringPolynomial) -> bool:
     """
     if f.coeff_domain != "N":
         return False
-    return len(f.terms) == 1 and f.terms[0][1] == 1
+    return len(f.index_terms) == 1 and f.index_terms[0][1] == 1
 
 
 def binomial_irreducibility_check(f: SemiringPolynomial) -> bool:
@@ -556,18 +554,16 @@ def binomial_irreducibility_check(f: SemiringPolynomial) -> bool:
     :func:`algebra_witness` — monomial divisors are the only possible ones,
     so ``True`` then certifies full irreducibility.
     """
-    if len(f.terms) != 2:
+    if len(f.index_terms) != 2:
         raise ValueError("this check applies to two-term polynomials")
     if f.exponent_monoid is None:
         raise ValueError("the ambient monoid must be given explicitly")
-    (e_high, _), (e_low, _) = f.terms
-    for generator in f.exponent_monoid.generators:
-        g = generator[0]
-        if rank_one_membership(
-            f.exponent_monoid, e_high - g
-        ) and rank_one_membership(f.exponent_monoid, e_low - g):
-            return False
-    return True
+    (n_high, _), (n_low, _) = f.index_terms
+    numerical = f.exponent_monoid.rank_one[1]
+    return not any(
+        numerical.contains(n_high - g) and numerical.contains(n_low - g)
+        for g in numerical.generators
+    )
 
 
 def case1_relation(
@@ -645,7 +641,7 @@ class AlgebraWitness:
 
 def _multiply_out(factors, monoid: MonoidPresentation) -> SemiringPolynomial:
     """The product of ``poly ** multiplicity`` over the (poly, multiplicity) pairs."""
-    result = SemiringPolynomial.one("Q", monoid)
+    result = SemiringPolynomial._from_index_terms([(0, 1)], "Q", monoid)
     for poly, multiplicity in factors:
         result = poly_mul(result, poly_pow(poly, multiplicity))
     return result
@@ -702,9 +698,10 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
     mono_b = SemiringPolynomial.monomial(b, 1, "Q", monoid)
 
     # the shift x^c need not lie in the monoid algebra, so the identity
-    # relating the two binomials is checked in the ambient algebra
+    # relating the two binomials is checked in the ambient algebra; both
+    # have unit 1, so the indices carry over
     def ambient(poly: SemiringPolynomial) -> SemiringPolynomial:
-        return SemiringPolynomial.from_terms(poly.terms, "Q", None)
+        return SemiringPolynomial._from_index_terms(poly.index_terms, "Q", None)
 
     shift = SemiringPolynomial.monomial(c, 1, "Q", None)
     if delta > 0:

@@ -60,12 +60,49 @@ def in_lattice(vectors: Sequence[Sequence[int]], z: Sequence[int]) -> bool:
     return sol is not None and all(c.denominator == 1 for c in sol)
 
 
+def determinant(m: Sequence[Sequence[int]]) -> int:
+    """Determinant by cofactor expansion along the first row; 1 for 0 x 0."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * a * determinant([list(row[:j]) + list(row[j + 1:]) for row in m[1:]])
+        for j, a in enumerate(m[0])
+        if a
+    )
+
+
 def brute_force_kernel_vectors(rows: Sequence[Sequence[int]], box: int) -> list[tuple[int, ...]]:
-    """All integer z in [-box, box]^k with (rows) @ z = 0, by raw enumeration."""
+    """All integer z in [-box, box]^k with (rows) @ z = 0, in lexicographic order.
+
+    The first coordinates are enumerated and the last t are solved for, where
+    t is the largest count for which some t rows have an invertible t x t
+    block ``tail`` in the last t columns.  The enumerated head then fixes the
+    tail by Cramer's rule, so each head has at most one completion and the
+    heads' lexicographic order is the vectors' order.  Every candidate is
+    checked against all rows.
+    """
     k = len(rows[0])
+    t, chosen = next(
+        (t, sub)
+        for t in range(min(len(rows), k), -1, -1)
+        for sub in itertools.combinations(rows, t)
+        if determinant([r[k - t:] for r in sub])
+    )
+    tail = [list(r[k - t:]) for r in chosen]
+    det = determinant(tail)
     found = []
-    for z in itertools.product(range(-box, box + 1), repeat=k):
-        if all(sum(r[i] * z[i] for i in range(k)) == 0 for r in rows):
+    for head in itertools.product(range(-box, box + 1), repeat=k - t):
+        rhs = [-sum(r[i] * head[i] for i in range(k - t)) for r in chosen]
+        numerators = [
+            determinant([row[:j] + [b] + row[j + 1:] for row, b in zip(tail, rhs)])
+            for j in range(t)
+        ]
+        if any(n % det for n in numerators):
+            continue
+        z = head + tuple(n // det for n in numerators)
+        if all(-box <= v <= box for v in z) and all(
+            sum(r[i] * z[i] for i in range(k)) == 0 for r in rows
+        ):
             found.append(z)
     return found
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -335,6 +336,16 @@ def test_semiring_atom_rejects_rational_domain():
     assert result.returncode == 1
 
 
+def test_semiring_atom_over_budget_exits_3():
+    # (x + 1)^10: the pruned atom search needs more than the default step budget
+    terms = [[str(k), str(math.comb(10, k))] for k in range(10, -1, -1)]
+    payload = json.dumps({"coeff_domain": "N", "monoid": "N0", "terms": terms})
+    result = run_cli("semiring-atom", "-", stdin_text=payload)
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
+
+
 def test_algebra_witness_2_3(capsys):
     code, out = run_inproc("algebra-witness", "2", "3", capsys=capsys)
     assert code == 0
@@ -351,6 +362,15 @@ def test_algebra_witness_rejects_bad_pair():
     result = run_cli("algebra-witness", "2", "4")
     assert result.returncode == 1
     assert "coprime" in result.stderr
+
+
+def test_algebra_witness_of_a_huge_pair_exits_3():
+    result = run_cli("algebra-witness", "1000000007", "1000000009")
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: smallest generator 1000000007 exceeds the budget of 1000000 steps"
+    ]
 
 
 def test_case1(puiseux, capsys):

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from factolab.monoid import MonoidPresentation
+from factolab.monoid import BudgetExceeded, MonoidPresentation
 from factolab.semiring import (
     AlgebraWitness,
     InternalContradiction,
@@ -113,6 +113,17 @@ def test_numerical_monoid_rejects_bad_generators():
         NumericalMonoid([0, 3])
     with pytest.raises(ValueError):
         NumericalMonoid([])
+
+
+def test_numerical_monoid_size_cap(monkeypatch):
+    # the Apéry set has one entry per residue of the smallest generator, so a
+    # generator past the step budget is refused before anything is allocated
+    with pytest.raises(BudgetExceeded, match="smallest generator 1000000007 exceeds the budget"):
+        NumericalMonoid([1000000007, 1000000009])
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 10)
+    assert NumericalMonoid([10, 11]).frontier == 90
+    with pytest.raises(BudgetExceeded, match="budget of 10 steps"):
+        NumericalMonoid([11, 12])
 
 
 def test_rank_one_membership_with_rational_generators():
@@ -442,6 +453,20 @@ def test_natural_atom_test_hard_cases():
     )
 
 
+def test_atom_search_step_budget(monkeypatch):
+    # each coefficient the depth-first search assigns is one step
+    cases = [
+        (nat_poly(6, 7, 2, 2, 1), 31, (False, (nat_poly(1, 1), nat_poly(6, 1, 1, 1)))),
+        (nat_poly(3, 0, 0, 2), 28, (True, None)),
+    ]
+    for f, steps, expected in cases:
+        monkeypatch.setattr("factolab.monoid.MAX_STEPS", steps)
+        assert natural_atom_test(f) == expected
+        monkeypatch.setattr("factolab.monoid.MAX_STEPS", steps - 1)
+        with pytest.raises(BudgetExceeded, match=f"budget of {steps - 1} steps"):
+            natural_atom_test(f)
+
+
 def test_natural_atom_test_rejects_rational_domain():
     with pytest.raises(ValueError):
         natural_atom_test(SemiringPolynomial.from_terms([(1, 1)], "Q"))
@@ -649,3 +674,92 @@ def test_algebra_witness_minimality_of_cofactors():
         assert 1 <= w.r < a and not any(
             (t * b) % a == 1 for t in range(1, w.r)
         )
+
+
+# ---------------------------------------------------------------------------
+# the index form
+# ---------------------------------------------------------------------------
+
+
+def exact_dense(poly, unit):
+    """Coefficients of ``poly`` over exponent / unit, kept exact."""
+    dense = [0] * (0 if poly.is_zero() else int(poly.max_exponent / unit) + 1)
+    for e, c in poly.terms:
+        dense[int(e / unit)] = c
+    return dense
+
+
+def test_index_form_matches_dense_oracles():
+    rng = random.Random(88001)
+    sixths = {n for n in range(64) if n != 1}
+    spaces = [(None, Fraction(1), range(10**6)), (HALF_THIRD, Fraction(1, 6), sixths)]
+    for monoid, unit, members in spaces:
+        for domain in ("N", "Q"):
+            def draw(degree):
+                if domain == "N":
+                    coeffs = [rng.randint(0, 3) for _ in range(degree + 1)]
+                else:
+                    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree + 1)]
+                return dense_trim([c if n in members else 0 for n, c in enumerate(coeffs)])
+
+            def poly(dense):
+                return SemiringPolynomial.from_terms(
+                    [(n * unit, c) for n, c in enumerate(dense) if c], domain, monoid
+                )
+
+            for _ in range(40):
+                f, g = draw(rng.randint(0, 6)), draw(rng.randint(0, 6))
+                fp, gp = poly(f), poly(g)
+                for p, dense in ((fp, f), (gp, g)):
+                    assert all(type(e) is Fraction and type(c) is Fraction for e, c in p.terms)
+                    assert [e for e, _ in p.terms] == sorted((e for e, _ in p.terms), reverse=True)
+                    assert exact_dense(p, unit) == dense
+                    assert SemiringPolynomial.from_terms(p.terms, domain, monoid) == p
+                product = poly_mul(fp, gp)
+                assert exact_dense(product, unit) == dense_trim(dense_mul(f, g))
+                power = [1]
+                for k in range(4):
+                    assert exact_dense(poly_pow(gp, k), unit) == dense_trim(power)
+                    power = dense_mul(power, g)
+                if not g:
+                    continue
+                assert poly_divide_exact(product, gp) == fp
+                quotient, oracle = poly_divide_exact(fp, gp), dense_divide(f, g)
+                fits = oracle is not None and all(
+                    c == 0 or (n in members and (domain == "Q" or (c > 0 and c.denominator == 1)))
+                    for n, c in enumerate(oracle)
+                )
+                if fits:
+                    assert exact_dense(quotient, unit) == dense_trim(oracle)
+                else:
+                    assert quotient is None
+            seen = 0
+            while domain == "N" and seen < 8:
+                f = dense_trim(dense_mul(draw(rng.randint(0, 3)), draw(rng.randint(0, 3))))
+                if f and len(f) <= 7 and max(f) <= 3:
+                    assert_search_matches_box(f, monoid, unit, members)
+                    seen += 1
+
+
+def test_validation_messages():
+    m23 = MonoidPresentation.from_values([2, 3])
+    cases = [
+        (([(0, -1)],), "coefficient -1 is not a nonnegative integer"),
+        (([(0, Fraction(1, 2))],), "coefficient 1/2 is not a nonnegative integer"),
+        (([(Fraction(1, 2), 1)],), "exponent 1/2 lies outside the monoid"),
+        (([(-1, 1)], "Q"), "exponent -1 lies outside the monoid"),
+        (([(2, 1), (Fraction(1, 6), 1)], "N", HALF_THIRD), "exponent 1/6 lies outside the monoid"),
+        (([(Fraction(1, 4), 1)], "Q", HALF_THIRD), "exponent 1/4 lies outside the monoid"),
+        (([(1, 1), (0, -2)], "N", m23), "exponent 1 lies outside the monoid"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            SemiringPolynomial.from_terms(*args)
+        assert str(excinfo.value) == message
+
+
+def test_zero_over_a_two_dimensional_monoid():
+    plane = MonoidPresentation.from_generators([(1, 0), (0, 1)])
+    zero = SemiringPolynomial.zero("Q", plane)
+    assert zero.is_zero() and zero.terms == () and str(zero) == "0"
+    assert zero == SemiringPolynomial.from_terms([(1, 0)], "Q", plane)
