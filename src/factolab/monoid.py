@@ -74,7 +74,7 @@ class BudgetExceeded(RuntimeError):
     """A search walked more steps than its budget allows."""
 
 
-MAX_STEPS = 10**6  # the step budget of enumerate_factorizations
+MAX_STEPS = 10**6  # the step budget of every factorization search
 
 
 def as_element(values: Iterable) -> QVector:
@@ -216,13 +216,15 @@ class Reduction(NamedTuple):
     after it, so a lexicographic walk of the free exponents is lexicographic in
     z.  The last free exponent m solves w m = acc (mod lead) in pivot row
     ``row``: ``gcd`` = gcd(w, lead) divides acc, and m = acc / gcd * inverse
-    (mod step), where step = lead / gcd."""
+    (mod step), where step = lead / gcd.  ``floors``: :func:`_floors` under the
+    validated grades."""
 
     transforms: tuple[IntVector, ...]  # T; its rows past the pivot rows vanish on X
     leads: IntVector  # per pivot row, the only nonzero entry of its column in R, > 0
     free: IntVector  # the free column indices
     columns: tuple[IntVector, ...]  # the free columns of R
     order: IntVector  # puts the free, then the pivot exponents in column order
+    floors: Optional[tuple]
     row: int = 0
     gcd: int = 1
     step: int = 1
@@ -319,14 +321,16 @@ class IntegerForm:
             g = leads[i] // step
             congruence = i, g, step, pow(w[i] // g, -1, step)
         transforms = tuple(tuple(row[k:]) for row in rows)
-        return Reduction(transforms, leads, tuple(free), columns, order, *congruence)
+        floors = _floors(columns, [self.grades[j] for j in free])
+        return Reduction(transforms, leads, tuple(free), columns, order, floors, *congruence)
 
     def solutions(
         self, target: IntVector, grades: Sequence[int], budget: int, max_steps: float
     ) -> Iterator[FactorizationVector]:
         """Every z >= 0 with X z == target, of grade ``budget``, in lexicographic
-        order.  Each walked prefix and each candidate for the last free exponent
-        is a step; more than ``max_steps`` steps raise BudgetExceeded."""
+        order, skipping the subtrees :func:`_floors` proves dead.  Each prefix
+        the walk reaches, dead or not, and each candidate for the last free
+        exponent is a step; more than ``max_steps`` steps raise BudgetExceeded."""
         r = self.reduction
         leads, order = r.leads, r.order
         image = [sum(map(mul, row, target)) for row in r.transforms]
@@ -339,11 +343,16 @@ class IntegerForm:
             return
         last, last_grade = r.columns[-1], grades[r.free[-1]]
         row, g, step, inverse = r.row, r.gcd, r.step, r.inverse
+        free_grades = [grades[j] for j in r.free]
+        floors = r.floors if grades is self.grades else _floors(r.columns, free_grades)
         steps = 0
-        for z, value, left in graded_walk(r.columns, [grades[j] for j in r.free], budget):
-            acc = [b - v for b, v in zip(image, value)]
-            a, rest = divmod(acc[row], g)
-            ms = range(0) if rest else range(a * inverse % step, left // last_grade + 1, step)
+        for z, value, left in graded_walk(r.columns, free_grades, budget, image, floors):
+            if left < 0:  # a dead prefix
+                ms = ()
+            else:
+                acc = [b - v for b, v in zip(image, value)]
+                a, rest = divmod(acc[row], g)
+                ms = range(0) if rest else range(a * inverse % step, left // last_grade + 1, step)
             steps += 1 + len(ms)
             if steps > max_steps:
                 raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
@@ -369,8 +378,26 @@ class IntegerForm:
         )
 
 
+def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> Optional[tuple]:
+    """Per walk position p >= -1, at index p + 1: ``(i, num, den)`` for each
+    pivot row i, where num / den = min(0, min_{j>p} columns[j][i] / grades[j]).
+    The exponents after p, of grade <= left, add at least left * num / den to
+    row i, so a prefix with acc_i < left * num / den is dead.  None in rank one,
+    where acc is a positive multiple of the grade left and never cuts first,
+    and for one free column, whose lone root the leaf rule settles anyway."""
+    if len(columns) < 2 or len(columns[0]) == 1:
+        return None
+    floors = []
+    for q in range(len(columns)):
+        bounds = (min(0, *(Fraction(c[i], g) for c, g in zip(columns[q:], grades[q:])))
+                  for i in range(len(columns[0])))
+        floors.append(tuple((i, f.numerator, f.denominator) for i, f in enumerate(bounds)))
+    return tuple(floors)
+
+
 def graded_walk(
-    columns: Sequence[IntVector], grades: Sequence[int], budget: int
+    columns: Sequence[IntVector], grades: Sequence[int], budget: int,
+    image: Sequence[int] = (), floors: Optional[tuple] = None,
 ) -> Iterator[tuple[list[int], list[int], int]]:
     """Yield (z, sum_j z_j * columns[j], grade left) for every exponent vector
     z on all columns but the last with grade <= budget, in lexicographic order.
@@ -378,7 +405,10 @@ def graded_walk(
     The grades are positive integers and cap every exponent at
     budget // grades[j].  The caller's leaf rule sets the last exponent z[-1].
     ``z`` and the value are the walk's own lists, changed by the next step,
-    so a caller copies what it keeps.
+    so a caller copies what it keeps.  With ``floors`` (see :func:`_floors`),
+    a prefix set last at position p whose acc = image - value some entry of
+    floors[p + 1] proves dead is yielded with grade left -1, so the caller
+    counts it, and the walk goes on to the next value of z[p].
     """
     if budget < 0:
         return
@@ -386,10 +416,21 @@ def graded_walk(
     z = [0] * len(columns)
     value = [0] * len(columns[0])
     left = budget
+    i = -1  # the position set last (-1 at the root); every later one is 0
     while True:
-        yield z, value, left
-        # the lexicographic successor of the prefix z[:last] within the budget
-        i = last - 1
+        dead = False
+        if floors:
+            for r, num, den in floors[i + 1]:
+                if (image[r] - value[r]) * den < left * num:
+                    dead = True
+                    break
+        if dead:
+            yield z, value, -1
+        else:
+            yield z, value, left
+            i = last - 1
+        # the lexicographic successor of the prefix z[:last] within the budget;
+        # after a dead prefix, the first one past its subtree
         while i >= 0 and left < grades[i]:
             left += z[i] * grades[i]
             for r, c in enumerate(columns[i]):
@@ -426,10 +467,9 @@ def enumerate_factorizations(
         raise DimensionMismatch("element does not live in the ambient space")
     form = presentation.integer_form
     _, weights, grades = form.integer_grading(grading)
-    scaled = [c * s for c, s in zip(x, form.scales)]
-    if any(q.denominator != 1 for q in scaled):
+    if any(s % c.denominator for c, s in zip(x, form.scales)):
         return ()  # a coordinate off the scaled integer grid: not in the monoid
-    target = tuple(q.numerator for q in scaled)
+    target = tuple(c.numerator * (s // c.denominator) for c, s in zip(x, form.scales))
     budget = sum(map(mul, weights, target))
     return tuple(form.solutions(target, grades, budget, MAX_STEPS))
 

@@ -24,6 +24,7 @@ from factolab.linalg import (
     integer_kernel,
 )
 from factolab.monoid import (
+    BudgetExceeded,
     MonoidPresentation,
     NotNormalized,
     enumerate_factorizations,
@@ -226,6 +227,16 @@ def test_relation_evidence_respects_bound_and_order():
     grades = [h.grade(p.evaluate(rel.left)) for rel in rels]
     assert all(g <= 10 for g in grades)
     assert grades == sorted(grades)
+
+
+def test_relation_evidence_step_budget(monkeypatch):
+    # 21 prefixes of the walk and 154 candidates for the last exponent
+    p = numerical(2, 3)
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 175)
+    assert len(relation_evidence(p, 20)) == 6
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 174)
+    with pytest.raises(BudgetExceeded, match="budget of 174 steps"):
+        relation_evidence(p, 20)
 
 
 def labels_consistent_with_evidence(p, bound):

@@ -127,6 +127,14 @@ def test_factorize_over_budget_exits_3(p23):
     assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
 
 
+def test_evidence_over_budget_exits_3(p23):
+    # the first prefix of the walk alone has millions of last exponents
+    result = run_cli("evidence", p23, "--bound", "10000000")
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
+
+
 def test_evidence(p23, capsys):
     code, out = run_inproc(
         "evidence", p23, "--bound", "20", capsys=capsys

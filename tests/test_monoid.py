@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from factolab import monoid
 from factolab.classify import relation_evidence
 from factolab.linalg import dot
 from factolab.monoid import (
@@ -451,6 +452,92 @@ def test_elimination_matches_box_oracles():
     assert scattered == 30
 
 
+def random_pruning_presentation(rng):
+    """(generators, positive grading) of a kind whose reduced free columns
+    have negative entries in some pivot row: mixed-sign generators (the last
+    k drawn, once one has a negative coordinate), a signed truncation or a
+    strip, sometimes with the sum of two generators added."""
+    kind = rng.choice(("mixed", "signed", "strip"))
+    if kind == "mixed":
+        d, k = rng.randint(2, 3), rng.randint(4, 5)
+        gens = []
+        while len(gens) < k or min(min(g) for g in gens) >= 0:
+            g = tuple(rng.choice(WALK_POOL) for _ in range(d))
+            if 1 <= sum(g) <= 3 and g not in gens:
+                gens = gens[1:] + [g] if len(gens) == k else gens + [g]
+        weights = (Fraction(1),) * d
+    elif kind == "signed":
+        k = rng.randint(1, 2)
+        gens = [(2, 0, 0), (3, 0, 0)] + [(0, n, 1) for n in range(-k, k + 1)]
+        weights = (Fraction(1), Fraction(0), Fraction(1))
+    else:
+        shift = rng.choice((0, 1, Fraction(1, 2)))
+        gens = [(n + shift, 1) for n in range(rng.randint(3, 5))]
+        weights = (Fraction(0), Fraction(1))
+    gens = [as_element(g) for g in gens]
+    total = tuple(map(sum, zip(*rng.sample(gens, 2))))
+    if rng.random() < 0.4 and total not in gens:
+        gens.insert(rng.randrange(len(gens) + 1), total)
+    return gens, Grading(weights)
+
+
+def test_pruned_walk_matches_box_oracles(monkeypatch):
+    """The walk with its dead-subtree cut against the box, on presentations
+    where the cut fires, under the validated grading and another one; the
+    search must keep every factorization, the lexicographic order and the
+    first atom witness."""
+    dead = 0
+    walk = monoid.graded_walk
+
+    def counting_walk(*args):
+        nonlocal dead
+        for item in walk(*args):
+            dead += item[2] < 0
+            yield item
+
+    monkeypatch.setattr("factolab.monoid.graded_walk", counting_walk)
+    rng = random.Random(90210)
+    checked = several = reducible = cut = 0
+    for _ in range(40):
+        gens, h = random_pruning_presentation(rng)
+        p = MonoidPresentation.from_generators(gens)
+
+        def caps(x):
+            return [math.floor(h.grade(x) / h.grade(g)) for g in gens]
+
+        before = dead
+        targets = [box_evaluate(gens, [rng.randint(0, top) for _ in gens]) for top in (1, 1, 2)]
+        targets.append(tuple(a - b for a, b in zip(targets[0], rng.choice(gens))))
+        for y in targets:
+            if math.prod(c + 1 for c in caps(y)) > 1500:
+                continue
+            want = box_factorizations(gens, y, caps(y))
+            for grading in (None, h):
+                assert list(enumerate_factorizations(p, y, grading)) == want, (gens, y)
+                assert length_set(p, y, grading) == {sum(z) for z in want}
+                assert atomic_divisors(p, y, grading) == {i for z in want for i, m in enumerate(z) if m}
+            checked += 1
+            several += len(want) >= 2
+        cut += dead > before
+
+        if sum(math.prod(c + 1 for c in caps(g)) for g in gens) > 1500:
+            continue
+        witness = [
+            next((z for z in box_factorizations(gens, g, caps(g)) if sum(z) >= 2), None)
+            for g in gens
+        ]
+        i = next((i for i, w in enumerate(witness) if w is not None), None)
+        if i is None:
+            assert normalize_atoms(p, "reject") is p
+        else:
+            with pytest.raises(NotAnAtom) as exc:
+                normalize_atoms(p, "reject")
+            assert (exc.value.index, exc.value.witness) == (i, witness[i])
+            reducible += 1
+    assert checked >= 100 and several >= 25 and reducible >= 10
+    assert cut >= 25 and dead >= 1000  # the cut fired, on most presentations
+
+
 def test_atom_check_of_a_seven_generator_presentation_in_q4():
     p = MonoidPresentation.from_generators([
         ("-2/3", "4/3", "-1", "1"), ("3", "2", "0", "3"), ("4/3", "4", "-1/3", "-1"),
@@ -472,6 +559,18 @@ def test_enumeration_step_budget(monkeypatch):
     monkeypatch.setattr("factolab.monoid.MAX_STEPS", 167)
     with pytest.raises(BudgetExceeded, match="budget of 167 steps"):
         enumerate_factorizations(p, [1000])
+
+
+def test_pruned_step_budget_on_a_strip(monkeypatch):
+    # strip-5 at grade 16: with its dead subtrees cut the search takes 185
+    # steps; the uncut walk took 563
+    p = MonoidPresentation.from_generators([(n, 1) for n in range(6)])
+    assert len(enumerate_factorizations(p, (10, 6))) == 23
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 185)
+    assert len(enumerate_factorizations(p, (10, 6))) == 23
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 184)
+    with pytest.raises(BudgetExceeded, match="budget of 184 steps"):
+        enumerate_factorizations(p, (10, 6))
 
 
 # ---------------------------------------------------------------------------
