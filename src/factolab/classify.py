@@ -15,9 +15,12 @@ the coordinate sum (the length difference across a relation):
   mirror image with sigma(z) >= 0).
 
 The lattice basis is saturated, so rational feasibility scales back to
-lattice points and the two directions match exactly.  Verdicts are decided by
-these exact criteria only; bounded searches appear solely in the independent
-oracle ``relation_evidence``.
+lattice points and the two directions match exactly.  In rank one, with L
+spanned by the primitive b, atom i is purely long iff sigma(b) b_i > 0 and
+purely short iff sigma(b) b_i < 0, sign(b_i) b witnessing against the other;
+higher ranks solve each system by Fourier-Motzkin elimination.  Verdicts are
+decided by these exact criteria only; bounded searches appear solely in the
+independent oracle ``relation_evidence``.
 """
 
 from __future__ import annotations
@@ -169,6 +172,19 @@ def _master_from_basis(basis: LatticeBasis) -> Optional[FactorizationRelation]:
     return FactorizationRelation.from_kernel_vector(_orient(b))
 
 
+def _rank_one_refutations(b: tuple[int, ...], i: int) -> tuple[Optional[tuple[int, ...]], ...]:
+    """The LP witnesses against atom i being purely long and purely short,
+    when the primitive b (integer_kernel saturates), b_i != 0, spans the kernel.
+
+    Over {t b} the long system is t b_i >= 1 and -t sigma(b) >= 0; the sigma
+    row is void, bounds t by 0 on the side of 1/b_i, or cuts 1/b_i off.  So
+    Fourier-Motzkin returns t = 1/b_i or nothing, and the least integer
+    multiple of b / b_i is w = sign(b_i) b: w if sigma(w) <= 0, else none.
+    The short system mirrors it."""
+    w = b if b[i] > 0 else tuple(-c for c in b)
+    return (w if sum(w) <= 0 else None), (w if sum(w) >= 0 else None)
+
+
 def classify(presentation: MonoidPresentation) -> ClassificationReport:
     """Full exact classification of a validated, atoms-only presentation."""
     ensure_normalized(presentation)
@@ -190,9 +206,12 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
         if all(v[i] == 0 for v in basis.vectors):
             labels.append(AtomLabel.PRIME)
             continue
-        unit = tuple(int(j == i) for j in range(k))
-        long_refutation = homogeneous_lp_witness(basis, unit, [sigma])
-        short_refutation = homogeneous_lp_witness(basis, unit, [neg_sigma])
+        if rank == 1:
+            long_refutation, short_refutation = _rank_one_refutations(basis.vectors[0], i)
+        else:
+            unit = tuple(int(j == i) for j in range(k))
+            long_refutation = homogeneous_lp_witness(basis, unit, [sigma])
+            short_refutation = homogeneous_lp_witness(basis, unit, [neg_sigma])
         if long_refutation is not None:
             witnesses[f"atom{i}_not_purely_long"] = long_refutation
         if short_refutation is not None:

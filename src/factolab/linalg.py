@@ -17,6 +17,7 @@ is approximate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -32,6 +33,10 @@ class DimensionMismatch(ValueError):
 
 class InternalContradiction(RuntimeError):
     """A certificate failed its own check: a defect in this package, not bad input."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A search walked more steps than its budget allows."""
 
 
 def parse_rational(value: Rational) -> Fraction:
@@ -106,9 +111,6 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> IntVector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> IntVector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
@@ -210,62 +212,66 @@ def _integer_multiple(values: Sequence[Rational]) -> tuple[IntVector, int]:
     return tuple(q.numerator * (den // q.denominator) for q in qs), den
 
 
+def _add_primitive(kept: list[IntVector], seen: set[IntVector], rows) -> bool:
+    """Append the unseen primitive rows that are not void to ``kept``; False at 0 >= rhs > 0."""
+    for row in rows:
+        g = math.gcd(*row)
+        if g > 1:
+            row = tuple(x // g for x in row)
+        if not any(row[:-1]):
+            if row[-1] > 0:
+                return False
+        elif row not in seen:
+            seen.add(row)
+            kept.append(row)
+    return True
+
+
 def solve_inequalities(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
     """Exact solution of the system coeffs . t >= rhs, or None if infeasible.
 
     Each constraint is held as one primitive integer row, its coefficients
     followed by its right-hand side: a positive multiple of a constraint is
     the same constraint, so that row both finds duplicates and keeps the
-    elimination in integers.  Eliminates the last variable, recurses, and
-    back-substitutes, so a feasible system always yields a concrete rational
-    point; only that point is rational.
+    elimination in integers.  Variables are eliminated last first; each lower
+    x upper pair is a step, and more than ``factolab.monoid.MAX_STEPS`` steps
+    raise BudgetExceeded.  Back-substitution runs on integer numerators over
+    one common denominator, and only the returned point is rational.
     """
+    if any(len(coeffs) != nvars for coeffs, _ in constraints):
+        raise DimensionMismatch("constraint arity does not match variable count")
+    max_steps, steps = sys.modules[__package__ + ".monoid"].MAX_STEPS, 0  # it imports this module
     rows: list[IntVector] = []
-    seen: set[IntVector] = set()
-    for coeffs, rhs in constraints:
-        if len(coeffs) != nvars:
-            raise DimensionMismatch("constraint arity does not match variable count")
-        row, _ = _integer_multiple((*coeffs, rhs))
-        g = math.gcd(*row)
-        if g > 1:
-            row = tuple(x // g for x in row)
-        if not any(row[:-1]):
-            if row[-1] > 0:
-                return None
-            continue
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    if nvars == 0:
-        return []
-
-    lowers = [row for row in rows if row[-2] > 0]
-    uppers = [row for row in rows if row[-2] < 0]
-    projected: list[Constraint] = [(row[:-2], row[-1]) for row in rows if row[-2] == 0]
-    for low in lowers:
-        al = low[-2]
-        for up in uppers:
-            au = up[-2]
-            # (rl - hl.t)/al <= t_last <= (ru - hu.t)/au with al > 0 > au;
-            # clearing denominators (and one sign flip) gives, entry by entry
-            # and with t_last cancelled:
-            row = [al * cu - au * cl for cl, cu in zip(low, up)]
-            projected.append((row[:-2], row[-1]))
-
-    sub = solve_inequalities(projected, nvars - 1)
-    if sub is None:
+    if not _add_primitive(rows, set(), (_integer_multiple((*c, rhs))[0] for c, rhs in constraints)):
         return None
-    # The bound (r - h.t)/a of a row does not move when the row is scaled.
-    lo_vals = [Fraction(r[-1] - sum(map(mul, r[:-2], sub)), r[-2]) for r in lowers]
-    hi_vals = [Fraction(r[-1] - sum(map(mul, r[:-2], sub)), r[-2]) for r in uppers]
-    if lo_vals:
-        value = max(lo_vals)
-    elif hi_vals:
-        value = min(hi_vals)
-    else:
-        value = Fraction(0)
-    sub.append(value)
-    return sub
+    levels = []
+    for j in range(nvars - 1, -1, -1):  # every row is zero past column j
+        lowers = [row for row in rows if row[j] > 0]
+        uppers = [row for row in rows if row[j] < 0]
+        levels.append((lowers, uppers))
+        if lowers or uppers:
+            steps += len(lowers) * len(uppers)
+            if steps > max_steps:
+                raise BudgetExceeded(f"Fourier-Motzkin elimination exceeded its budget of {max_steps} steps")
+            # (rl - hl.t)/al <= t_j <= (ru - hu.t)/au with al > 0 > au; clearing
+            # denominators (and one sign flip) cancels t_j:
+            pairs = (tuple(low[j] * cu - up[j] * cl for cl, cu in zip(low, up)) for low in lowers for up in uppers)
+            rows = [row for row in rows if not row[j]]
+            if not _add_primitive(rows, set(rows), pairs):
+                return None
+
+    # t = nums / den, so the bound (r - h.t)/a of a row is (r den - h.nums) / (a den);
+    # t_j is the largest lower bound, else the least upper bound, else 0.
+    nums, den = [], 1
+    for lowers, uppers in reversed(levels):
+        j, sign, best = len(nums), (1 if lowers else -1), None  # (p, q): the bound p / (q den), q > 0
+        for row in lowers or uppers:
+            p, q = sign * (row[-1] * den - sum(map(mul, row, nums))), sign * row[j]
+            if best is None or sign * (p * best[1] - best[0] * q) > 0:
+                best = p, q
+        p, q = best or (0, 1)
+        nums, den = [x * q for x in nums] + [p], den * q
+    return [Fraction(x, den) for x in nums]
 
 
 def homogeneous_lp_witness(
@@ -300,8 +306,11 @@ def homogeneous_lp_witness(
     # The witness is z = sum t_j b_j times the least common denominator of its
     # entries.  With L the common denominator of t, that is L z / gcd(L, L z).
     scale = math.lcm(*(q.denominator for q in t))
-    t_z = [q.numerator * (scale // q.denominator) for q in t]
-    z = [sum(c * vec[i] for c, vec in zip(t_z, basis.vectors)) for i in range(k)]
+    z = [0] * k
+    for q, vec in zip(t, basis.vectors):
+        if q:
+            c = q.numerator * (scale // q.denominator)
+            z = [x + c * v for x, v in zip(z, vec)]
     g = math.gcd(scale, *z)
     witness = tuple(x // g for x in z)
     # A multiple >= 1 of a solution still solves the system (strict stays >= 1).

@@ -17,6 +17,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import (
+    BudgetExceeded,
     DimensionMismatch,
     IntMatrix,
     IntVector,
@@ -70,11 +71,7 @@ class NotNormalized(ValueError):
     """The operation requires a duplicate-free, atoms-only presentation."""
 
 
-class BudgetExceeded(RuntimeError):
-    """A search walked more steps than its budget allows."""
-
-
-MAX_STEPS = 10**6  # the step budget of every factorization search
+MAX_STEPS = 10**6  # the step budget of every search, Fourier-Motzkin elimination included
 
 
 def as_element(values: Iterable) -> QVector:

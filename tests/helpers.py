@@ -2,18 +2,19 @@
 
 Everything in this module is deliberately written from scratch (dense
 Gaussian elimination, box searches, dense polynomial arithmetic) so the
-library is checked against code that shares none of its algorithms.  The
-one exception is ``reference_grading``: it keeps validation on the rational
+library is checked against code that shares none of its algorithms.  There
+are two exceptions.  ``recursive_solve_inequalities`` is the recursive
+Fourier-Motzkin elimination the library once used, kept to check the loop
+that replaced it.  ``reference_grading`` keeps validation on the rational
 generators, to check the validation on their integer form against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
-
-from factolab.linalg import solve_inequalities
 
 
 def solve_rational_combination(
@@ -251,6 +252,53 @@ def box_relations(gens, weight, bound) -> list[tuple[tuple[int, ...], tuple[int,
 
 
 # ---------------------------------------------------------------------------
+# Fourier-Motzkin by recursion, on Fraction rows
+# ---------------------------------------------------------------------------
+
+
+def recursive_solve_inequalities(constraints, nvars: int) -> Optional[list[Fraction]]:
+    """A point t with coeffs . t >= rhs for every (coeffs, rhs), or None.
+
+    The recursive Fourier-Motzkin elimination the library's loop replaced,
+    kept as its oracle: each constraint is scaled to its primitive integer
+    row, duplicates and void rows are dropped (a zero row with a positive
+    right-hand side is infeasible), the last variable is eliminated through
+    every lower x upper pair, the rest is solved recursively, and the last
+    variable takes the largest lower bound, else the least upper bound, else 0.
+    """
+    rows: list[tuple[int, ...]] = []
+    for coeffs, rhs in constraints:
+        qs = [Fraction(x) for x in (*coeffs, rhs)]
+        den = 1
+        for q in qs:
+            den = den * q.denominator // math.gcd(den, q.denominator)
+        row = tuple(int(q * den) for q in qs)
+        g = math.gcd(*row)
+        row = tuple(x // g for x in row) if g > 1 else row
+        if not any(row[:-1]):
+            if row[-1] > 0:
+                return None
+        elif row not in rows:
+            rows.append(row)
+    if nvars == 0:
+        return []
+    lowers = [r for r in rows if r[-2] > 0]
+    uppers = [r for r in rows if r[-2] < 0]
+    projected = [(r[:-2], r[-1]) for r in rows if r[-2] == 0]
+    for lo in lowers:
+        for up in uppers:
+            row = [lo[-2] * u - up[-2] * v for v, u in zip(lo, up)]
+            projected.append((row[:-2], row[-1]))
+    sub = recursive_solve_inequalities(projected, nvars - 1)
+    if sub is None:
+        return None
+    lo_vals = [(r[-1] - sum(a * t for a, t in zip(r, sub))) / Fraction(r[-2]) for r in lowers]
+    hi_vals = [(r[-1] - sum(a * t for a, t in zip(r, sub))) / Fraction(r[-2]) for r in uppers]
+    value = max(lo_vals) if lo_vals else min(hi_vals) if hi_vals else Fraction(0)
+    return sub + [value]
+
+
+# ---------------------------------------------------------------------------
 # the grading on rational generators
 # ---------------------------------------------------------------------------
 
@@ -259,15 +307,15 @@ def reference_grading(gens: Sequence[Sequence[Fraction]]) -> Optional[tuple[Frac
     """The positive grading of the generators, found on the rationals themselves.
 
     All ones when every coordinate sum is positive, else a point of
-    {h : h . g >= 1 for every g} from the Fourier-Motzkin solver on
-    ``Fraction`` rows; then divided by its least value on the generators, so
+    {h : h . g >= 1 for every g} from ``recursive_solve_inequalities``; then
+    divided by its least value on the generators, so
     the least generator grade is 1.  None when no such h exists.
     """
     d = len(gens[0])
     if all(sum(g) > 0 for g in gens):
         h = [Fraction(1)] * d
     else:
-        h = solve_inequalities([(tuple(g), Fraction(1)) for g in gens], d)
+        h = recursive_solve_inequalities([(tuple(g), Fraction(1)) for g in gens], d)
         if h is None:
             return None
     low = min(sum(w * c for w, c in zip(h, g)) for g in gens)

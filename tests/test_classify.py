@@ -11,6 +11,7 @@ import pytest
 from factolab.classify import (
     AtomLabel,
     FactorizationRelation,
+    _rank_one_refutations,
     classify,
     relation_evidence,
 )
@@ -237,6 +238,35 @@ def test_relation_evidence_step_budget(monkeypatch):
     monkeypatch.setattr("factolab.monoid.MAX_STEPS", 174)
     with pytest.raises(BudgetExceeded, match="budget of 174 steps"):
         relation_evidence(p, 20)
+
+
+def test_rank_one_reading_matches_the_lp():
+    # b spans the kernel of a basis of its own orthogonal complement; every
+    # third b is made balanced, and many have negative entries
+    rng = random.Random(3131)
+    balanced = mixed = 0
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        v = [rng.randint(-6, 6) for _ in range(k)]
+        if rng.random() < 1 / 3:
+            v[-1] = -sum(v[:-1])
+        if not any(v):
+            continue
+        complement = integer_kernel(IntMatrix.from_rows([v])).vectors
+        basis = integer_kernel(IntMatrix.from_rows(complement))
+        assert basis.rank == 1
+        b = basis.vectors[0]
+        balanced += sum(b) == 0
+        mixed += min(b) < 0
+        for i in range(k):
+            if b[i] == 0:
+                continue
+            unit = tuple(int(j == i) for j in range(k))
+            assert _rank_one_refutations(b, i) == (
+                homogeneous_lp_witness(basis, unit, [(1,) * k]),
+                homogeneous_lp_witness(basis, unit, [(-1,) * k]),
+            ), (b, i)
+    assert balanced >= 80 and mixed >= 200
 
 
 def labels_consistent_with_evidence(p, bound):

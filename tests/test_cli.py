@@ -127,6 +127,17 @@ def test_factorize_over_budget_exits_3(p23):
     assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
 
 
+def test_analyze_over_the_fourier_motzkin_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # the grading LP of these generators takes two lower x upper pairs
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps({"dim": 3, "generators": [["1/2", -1, 0], [0, 1, -1], [-1, 0, 3]]}))
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 2)
+    assert run_inproc("analyze", str(path), capsys=capsys)[0] == 0
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 1)
+    assert run_inproc("analyze", str(path)) == (3, "")
+    assert capsys.readouterr() == ("", "error: Fourier-Motzkin elimination exceeded its budget of 1 steps\n")
+
+
 def test_evidence_over_budget_exits_3(p23):
     # the first prefix of the walk alone has millions of last exponents
     result = run_cli("evidence", p23, "--bound", "10000000")

@@ -25,11 +25,13 @@ from factolab.linalg import (
     rational_num_den,
     solve_inequalities,
 )
+from factolab.monoid import BudgetExceeded
 from helpers import (
     brute_force_kernel_vectors,
     in_lattice,
     mat_mul,
     random_unimodular,
+    recursive_solve_inequalities,
 )
 
 
@@ -278,3 +280,55 @@ def test_solve_inequalities_back_substitution():
         )
         is None
     )
+
+
+def test_solve_inequalities_matches_the_recursive_oracle():
+    # <= 4 variables and <= 7 rational rows, with void rows and positive
+    # multiples of earlier rows mixed in; 762 of the 2,000 are infeasible
+    rng = random.Random(6161)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    infeasible = 0
+    for _ in range(2000):
+        nvars = rng.randint(0, 4)
+        system = []
+        for _ in range(rng.randint(0, 7)):
+            roll = rng.random()
+            if system and roll < 0.15:
+                coeffs, rhs = rng.choice(system)
+                scale = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                system.append((tuple(c * scale for c in coeffs), rhs * scale))
+            elif roll < 0.2:
+                system.append(((0,) * nvars, rational()))
+            else:
+                system.append((tuple(rational() for _ in range(nvars)), rational()))
+        point = solve_inequalities(system, nvars)
+        assert point == recursive_solve_inequalities(system, nvars), system
+        if point is None:
+            infeasible += 1
+        else:
+            assert all(type(t) is Fraction for t in point)
+            assert all(dot(coeffs, point) >= rhs for coeffs, rhs in system)
+    assert infeasible == 762
+
+
+def test_fourier_motzkin_step_budget(monkeypatch):
+    # three lower and four upper bounds on y make 12 pairs; the rows left in
+    # x (-4 <= x <= 4 among them) give 8 distinct lower and 4 upper bounds,
+    # 32 more pairs
+    system = [((a, 1), b) for a, b in ((1, 0), (2, -3), (-1, 1))]
+    system += [((c, -1), d) for c, d in ((1, -5), (-2, -9), (0, -6), (3, -20))]
+    system += [((1, 0), -4), ((-1, 0), -4)]
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 44)
+    assert solve_inequalities(system, 2) == [Fraction(-5, 2), Fraction(5, 2)]
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 43)
+    with pytest.raises(BudgetExceeded, match="Fourier-Motzkin elimination exceeded its budget of 43 steps"):
+        solve_inequalities(system, 2)
+    # x + y >= 1 and x - y >= 0 give 2x >= 1, a row the system already has,
+    # so x has one lower bound and 1 + 1 pairs suffice
+    system = [((1, 1), 1), ((1, -1), 0), ((2, 0), 1), ((-1, 0), -5)]
+    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 2)
+    assert solve_inequalities(system, 2) == [Fraction(1, 2), Fraction(1, 2)]
+    assert BudgetExceeded is linalg.BudgetExceeded
