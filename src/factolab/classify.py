@@ -284,11 +284,10 @@ def relation_evidence(
     last, last_grade = form.columns[-1], grades[-1]
     max_steps, steps = _monoid.MAX_STEPS, 0
     for z, value, left in graded_walk(form.columns, grades, floor(Fraction(bound) * unit)):
-        ms = range(left // last_grade + 1)
-        steps += 1 + len(ms)
+        steps += 2 + left // last_grade
         if steps > max_steps:
             raise _monoid.BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
-        for m in ms:
+        for m in range(left // last_grade + 1):
             z[-1] = m
             groups.setdefault(tuple(v + m * c for v, c in zip(value, last)), []).append(tuple(z))
 

@@ -344,13 +344,15 @@ class IntegerForm:
         floors = r.floors if grades is self.grades else _floors(r.columns, free_grades)
         steps = 0
         for z, value, left in graded_walk(r.columns, free_grades, budget, image, floors):
-            if left < 0:  # a dead prefix
-                ms = ()
-            else:
+            ms = ()
+            steps += 1
+            if left >= 0:  # not a dead prefix
                 acc = [b - v for b, v in zip(image, value)]
                 a, rest = divmod(acc[row], g)
-                ms = range(0) if rest else range(a * inverse % step, left // last_grade + 1, step)
-            steps += 1 + len(ms)
+                if not rest:
+                    first, top = a * inverse % step, left // last_grade
+                    ms = range(first, top + 1, step)
+                    steps += (top - first) // step + 1  # len(ms), which overflows past sys.maxsize
             if steps > max_steps:
                 raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
             for m in ms:
@@ -367,12 +369,48 @@ class IntegerForm:
     @cached_property
     def atom_defects(self) -> tuple[Optional[FactorizationVector], ...]:
         """Per generator, its lexicographically first decomposition of length
-        >= 2, or None when it is an atom.  The search stops at that first one."""
+        >= 2, or None when it is an atom.  :func:`_atom_by_bounds` settles most
+        atoms; the walk of every other generator stops at its first
+        decomposition, and more than MAX_STEPS steps raise BudgetExceeded."""
+        rows = (self.grades, *zip(*self.columns))
         return tuple(
-            next((z for z in self.solutions(target, self.grades, grade, math.inf) if sum(z) >= 2),
+            None if _atom_by_bounds(rows, (grade, *target)) else
+            next((z for z in self.solutions(target, self.grades, grade, MAX_STEPS) if sum(z) >= 2),
                  None)
             for target, grade in zip(self.columns, self.grades)
         )
+
+
+def _atom_by_bounds(rows: Sequence[IntVector], target: IntVector) -> bool:
+    """Whether integer bounds alone show that no z >= 0 of length >= 2 has
+    X z = target; ``rows`` are the grades, then the rows of X.
+
+    Take a row in which every column still usable has an entry >= 0, the
+    least being ``lo``.  A decomposition of length >= 2 that uses column c
+    also uses at least one more unit, which adds at least ``lo``, so c is
+    usable only if its entry is <= target - lo.  The mirror holds for a row
+    of entries <= 0.  On the grade row, whose entries are positive, this
+    drops the target's own column and every column of grade above it.  The
+    rule repeats until nothing is dropped; with no column left, or a row
+    whose gcd does not divide the target, the target is an atom."""
+    usable: Sequence[int] = range(len(rows[0]))
+    size = -1
+    while size != len(usable):
+        size = len(usable)
+        for row, t in zip(rows, target):
+            entries = [row[c] for c in usable]
+            lo, hi = min(entries), max(entries)
+            if lo >= 0 and hi > t - lo:
+                usable = [c for c in usable if row[c] <= t - lo]
+            if hi <= 0 and lo < t - hi:
+                usable = [c for c in usable if row[c] >= t - hi]
+            if not usable:
+                return True
+    for row, t in zip(rows, target):
+        g = math.gcd(*(row[c] for c in usable))
+        if t % g if g else t:
+            return True
+    return False
 
 
 def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> Optional[tuple]:
@@ -497,13 +535,14 @@ def atomic_divisors(
 # ---------------------------------------------------------------------------
 
 
-def _duplicates(presentation: MonoidPresentation) -> dict[int, int]:
-    """Index of every repeated generator -> index of its first occurrence."""
-    first: dict[QVector, int] = {}
+def _duplicates(form: IntegerForm) -> dict[int, int]:
+    """Index of every repeated generator -> index of its first occurrence.
+    Two generators are equal exactly when their scaled columns are."""
+    first: dict[IntVector, int] = {}
     return {
-        i: first[g]
-        for i, g in enumerate(presentation.generators)
-        if first.setdefault(g, i) != i
+        i: first[x]
+        for i, x in enumerate(form.columns)
+        if first.setdefault(x, i) != i
     }
 
 
@@ -518,7 +557,7 @@ def normalize_atoms(presentation: MonoidPresentation, mode: str = "auto-reduce")
     if mode not in ("auto-reduce", "reject"):
         raise ValueError(f"unknown normalization mode {mode!r}")
     form = presentation.integer_form
-    duplicates = _duplicates(presentation)
+    duplicates = _duplicates(form)
     if duplicates and mode == "reject":
         raise DuplicateGenerator(*next(iter(duplicates.items())))
     drop = set(duplicates)
@@ -538,7 +577,7 @@ def normalize_atoms(presentation: MonoidPresentation, mode: str = "auto-reduce")
 def ensure_normalized(presentation: MonoidPresentation) -> Grading:
     """Validate and demand that the presentation lists exactly the atoms."""
     form = presentation.integer_form
-    for i, original in _duplicates(presentation).items():
+    for i, original in _duplicates(form).items():
         raise NotNormalized(
             f"generator {i} duplicates generator {original}; normalize first"
         )

@@ -464,7 +464,8 @@ def natural_atom_test(
     cut drops a divisor and the first divisor found is the box's first.  A
     full candidate is still certified by :func:`poly_divide_exact`.  Each
     assigned coefficient is a step; a search longer than
-    ``factolab.monoid.MAX_STEPS`` steps raises :class:`BudgetExceeded`.
+    ``factolab.monoid.MAX_STEPS`` steps raises :class:`BudgetExceeded`, and
+    so does a top exponent index above it, before anything is allocated.
     """
     if f.coeff_domain != "N":
         raise ValueError(
@@ -475,6 +476,8 @@ def natural_atom_test(
     numerical = _rank_one_scaling(f.exponent_monoid)[1]
     target = dict(f.index_terms)
     top, low, bound = max(target), min(target), max(target.values())
+    if top > _monoid.MAX_STEPS:
+        raise BudgetExceeded(f"top exponent index {top} exceeds the budget of {_monoid.MAX_STEPS} steps")
     f_dense = [target.get(n, 0) for n in range(top + 1)]
     exponents = [n for n in range(top + 1) if numerical.contains(n)]
     stops = exponents[1:] + [top + 1]

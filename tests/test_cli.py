@@ -17,7 +17,7 @@ import factolab.cli as cli
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def run_cli(*argv, stdin_text=None, env_extra=None):
+def run_cli(*argv, stdin_text=None, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -27,6 +27,7 @@ def run_cli(*argv, stdin_text=None, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -120,11 +121,13 @@ def test_factorize_dimension_mismatch(p23):
 
 
 def test_factorize_over_budget_exits_3(p23):
-    # about 16.7 million factorizations: the default step budget stops the search
-    result = run_cli("factorize", p23, "--element", "100000000")
-    assert result.returncode == 3, result.stderr
-    assert result.stdout == ""
-    assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
+    # about 16.7 million factorizations, or a last-exponent range too long for
+    # len(): the default step budget stops the search
+    for element in ("100000000", str(10**30)):
+        result = run_cli("factorize", p23, "--element", element, timeout=10)
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
 
 
 def test_analyze_over_the_fourier_motzkin_budget_exits_3(tmp_path, monkeypatch, capsys):
@@ -139,11 +142,31 @@ def test_analyze_over_the_fourier_motzkin_budget_exits_3(tmp_path, monkeypatch, 
 
 
 def test_evidence_over_budget_exits_3(p23):
-    # the first prefix of the walk alone has millions of last exponents
-    result = run_cli("evidence", p23, "--bound", "10000000")
-    assert result.returncode == 3, result.stderr
+    # the first prefix of the walk alone has millions of last exponents, or
+    # more than len() can count
+    for bound in ("10000000", str(10**30)):
+        result = run_cli("evidence", p23, "--bound", bound, timeout=10)
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
+
+
+@pytest.mark.parametrize("generators, code, error", [
+    # the bounds prove the last generator an atom: no other has a negative
+    # second coordinate, so the walk never starts on it
+    ([["1", "0"], ["0", "1"], ["1", "1"], ["1000000000000", "-1"]], 1,
+     "error: generator 2 is not an atom (witness (1, 1, 0, 0)); normalize first"),
+    # generator 0 is no atom, and the walk for its witness is over budget
+    ([[10**30, 0], [0, 1], [1, 1], [2, -1]], 3,
+     "error: search exceeded its budget of 1000000 steps"),
+], ids=["atom-by-bounds", "over-budget"])
+def test_analyze_with_a_huge_generator_ends_fast(tmp_path, generators, code, error):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 2, "generators": generators}))
+    result = run_cli("analyze", str(path), timeout=10)
+    assert result.returncode == code, result.stderr
     assert result.stdout == ""
-    assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
+    assert result.stderr.splitlines() == [error]
 
 
 def test_evidence(p23, capsys):
@@ -363,6 +386,17 @@ def test_semiring_atom_over_budget_exits_3():
     assert result.returncode == 3, result.stderr
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]
+
+
+def test_semiring_atom_with_a_huge_exponent_exits_3():
+    # refused before any list of top + 1 entries is allocated
+    payload = json.dumps({"coeff_domain": "N", "monoid": "N0", "terms": [["100000000", "1"], ["0", "1"]]})
+    result = run_cli("semiring-atom", "-", stdin_text=payload, timeout=10)
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: top exponent index 100000000 exceeds the budget of 1000000 steps"
+    ]
 
 
 def test_algebra_witness_2_3(capsys):

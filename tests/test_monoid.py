@@ -550,6 +550,60 @@ def test_atom_check_of_a_seven_generator_presentation_in_q4():
     assert p.evaluate(exc.value.witness) == p.generators[3]
 
 
+def bound_verdicts(form):
+    rows = (form.grades, *zip(*form.columns))
+    return [monoid._atom_by_bounds(rows, (g, *x)) for x, g in zip(form.columns, form.grades)]
+
+
+@pytest.mark.parametrize("gens, verdicts", [
+    # grade: 3 < 2 * 2; 4 = 2 + 2 passes every rule
+    ([(2,), (3,)], [True, True]),
+    ([(2,), (3,), (4,)], [True, True, False]),
+    # a row of entries >= 0 and a negative target entry
+    ([(0, 1), (-1, 3)], [True, True]),
+    ([(1, 0), (0, 1), (1, 1), (10**12, -1)], [True, True, False, True]),
+    # the mirror: a row of entries <= 0 and a positive target entry
+    ([(1, 0), (2, -1), (3, 1)], [True, True, True]),
+    # a drop: row 1 drops (0, 2) from (4, 1), then (3, 0) alone has grade 3 > 5 - 3
+    ([(0, 2), (3, 0), (4, 1)], [True, True, True]),
+    # gcd: only (3, 2) and (3, -2) are below (7, 1), and 3 does not divide 7
+    ([(3, 2), (3, -2), (7, 1)], [True, True, True]),
+])
+def test_atom_bounds_rules(gens, verdicts):
+    p = MonoidPresentation.from_generators(gens)
+    form = p.integer_form
+    assert bound_verdicts(form) == verdicts
+    h = validate_presentation(p)
+    for x, atom in zip(gens, verdicts):
+        caps = [math.floor(h.grade(x) / h.grade(g)) for g in gens]
+        if atom and math.prod(c + 1 for c in caps) <= BOX_LIMIT:
+            assert all(sum(z) < 2 for z in box_factorizations(gens, x, caps))
+    # every generator the bounds leave open here is a non-atom, and the
+    # elimination is built only for its walk
+    assert [w is None for w in form.atom_defects] == verdicts
+    assert ("reduction" in vars(form)) == (not all(verdicts))
+
+
+def test_atom_bounds_agree_with_the_unbounded_walk():
+    """Wherever the bounds claim an atom, the walk without a budget finds no
+    decomposition of length >= 2."""
+    rng = random.Random(20261106)
+    presentations = claimed = 0
+    while presentations < 1000:
+        d, k = rng.randint(1, 3), rng.randint(2, 7)
+        gens = [[Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3))) for _ in range(d)] for _ in range(k)]
+        try:
+            form = MonoidPresentation.from_generators(gens).integer_form
+        except (InvalidGenerator, NotPointed):
+            continue
+        presentations += 1
+        for x, g, atom in zip(form.columns, form.grades, bound_verdicts(form)):
+            if atom:
+                claimed += 1
+                assert all(sum(z) < 2 for z in form.solutions(x, form.grades, g, math.inf)), gens
+    assert claimed >= 3000
+
+
 def test_enumeration_step_budget(monkeypatch):
     p = numerical(2, 3)
     assert len(enumerate_factorizations(p, [1000])) == 167
