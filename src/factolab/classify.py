@@ -31,7 +31,6 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import Optional
 
-from . import monoid as _monoid
 from .linalg import InternalContradiction, LatticeBasis, homogeneous_lp_witness
 from .monoid import (
     FactorizationVector,
@@ -273,21 +272,16 @@ def relation_evidence(
     kernel lattice.  Exponent vectors within the grade budget are grouped by
     the element they evaluate to, and every support-disjoint pair in a group
     is reported (long or lexicographically larger side first).  Relations are
-    sorted by grade, then element, then left side.  A walk of more than
-    ``factolab.monoid.MAX_STEPS`` steps (prefixes and last exponents) raises
-    BudgetExceeded.
+    sorted by grade, then element, then left side.  The walk raises
+    BudgetExceeded past its budget (see :func:`~factolab.monoid.graded_walk`).
     """
     ensure_normalized(presentation)
     form = presentation.integer_form
     unit, _, grades = form.integer_grading(grading)
     groups: dict[tuple[int, ...], list[FactorizationVector]] = {}
-    last, last_grade = form.columns[-1], grades[-1]
-    max_steps, steps = _monoid.MAX_STEPS, 0
-    for z, value, left in graded_walk(form.columns, grades, floor(Fraction(bound) * unit)):
-        steps += 2 + left // last_grade
-        if steps > max_steps:
-            raise _monoid.BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
-        for m in range(left // last_grade + 1):
+    last = form.columns[-1]
+    for z, value, ms in graded_walk(form.columns, grades, floor(Fraction(bound) * unit)):
+        for m in ms:
             z[-1] = m
             groups.setdefault(tuple(v + m * c for v, c in zip(value, last)), []).append(tuple(z))
 

@@ -89,29 +89,18 @@ def _cmd_factorize(args) -> int:
     return 0
 
 
-def _cmd_construct_master(args) -> int:
-    spec = MasterSpec(tuple(args.long), tuple(args.short))
-    presentation = build_master_monoid(spec)
+def _emit_classified(presentation: MonoidPresentation) -> int:
     report = classify(presentation)
-    _emit(
-        {
-            "presentation": presentation.to_json_dict(),
-            "report": report.to_json_dict(),
-        }
-    )
+    _emit({"presentation": presentation.to_json_dict(), "report": report.to_json_dict()})
     return 0
+
+
+def _cmd_construct_master(args) -> int:
+    return _emit_classified(build_master_monoid(MasterSpec(tuple(args.long), tuple(args.short))))
 
 
 def _cmd_pls_example(args) -> int:
-    presentation = pls_example(args.purely_long, args.purely_short)
-    report = classify(presentation)
-    _emit(
-        {
-            "presentation": presentation.to_json_dict(),
-            "report": report.to_json_dict(),
-        }
-    )
-    return 0
+    return _emit_classified(pls_example(args.purely_long, args.purely_short))
 
 
 def _resolve_truncation(flag: Optional[int]) -> int:
@@ -197,12 +186,8 @@ def _cmd_algebra_witness(args) -> int:
 def _cmd_case1(args) -> int:
     presentation = _load_presentation(args.presentation, normalize=False)
     relation = case1_relation(presentation, args.i, args.j)
-    element = sum(
-        (m * g[0] for m, g in zip(relation.left, presentation.generators)),
-        start=parse_rational(0),
-    )
     payload = relation.to_json_dict()
-    payload["element"] = format_rational(element)
+    payload["element"] = format_rational(presentation.evaluate(relation.left)[0])
     _emit(payload)
     return 0
 

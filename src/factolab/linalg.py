@@ -17,7 +17,6 @@ is approximate.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -37,6 +36,9 @@ class InternalContradiction(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """A search walked more steps than its budget allows."""
+
+
+MAX_STEPS = 10**6  # the step budget of every search, Fourier-Motzkin elimination included
 
 
 def parse_rational(value: Rational) -> Fraction:
@@ -234,13 +236,13 @@ def solve_inequalities(constraints: Sequence[Constraint], nvars: int) -> Optiona
     followed by its right-hand side: a positive multiple of a constraint is
     the same constraint, so that row both finds duplicates and keeps the
     elimination in integers.  Variables are eliminated last first; each lower
-    x upper pair is a step, and more than ``factolab.monoid.MAX_STEPS`` steps
+    x upper pair is a step, and more than :data:`MAX_STEPS` steps
     raise BudgetExceeded.  Back-substitution runs on integer numerators over
     one common denominator, and only the returned point is rational.
     """
     if any(len(coeffs) != nvars for coeffs, _ in constraints):
         raise DimensionMismatch("constraint arity does not match variable count")
-    max_steps, steps = sys.modules[__package__ + ".monoid"].MAX_STEPS, 0  # it imports this module
+    max_steps, steps = MAX_STEPS, 0
     rows: list[IntVector] = []
     if not _add_primitive(rows, set(), (_integer_multiple((*c, rhs))[0] for c, rhs in constraints)):
         return None

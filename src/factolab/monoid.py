@@ -16,6 +16,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from . import linalg
 from .linalg import (
     BudgetExceeded,
     DimensionMismatch,
@@ -69,9 +70,6 @@ class DuplicateGenerator(ValueError):
 
 class NotNormalized(ValueError):
     """The operation requires a duplicate-free, atoms-only presentation."""
-
-
-MAX_STEPS = 10**6  # the step budget of every search, Fourier-Motzkin elimination included
 
 
 def as_element(values: Iterable) -> QVector:
@@ -211,10 +209,9 @@ class Reduction(NamedTuple):
     """The integer Gauss-Jordan form T X = R of the columns X, pivots taken last
     column first.  A free column then lies in the span of the pivot columns
     after it, so a lexicographic walk of the free exponents is lexicographic in
-    z.  The last free exponent m solves w m = acc (mod lead) in pivot row
-    ``row``: ``gcd`` = gcd(w, lead) divides acc, and m = acc / gcd * inverse
-    (mod step), where step = lead / gcd.  ``floors``: :func:`_floors` under the
-    validated grades."""
+    z.  The last free exponent m solves w m = acc (mod lead) in one pivot row:
+    ``congruence`` is the :func:`graded_walk` congruence of that row.
+    ``floors``: :func:`_floors` under the validated grades."""
 
     transforms: tuple[IntVector, ...]  # T; its rows past the pivot rows vanish on X
     leads: IntVector  # per pivot row, the only nonzero entry of its column in R, > 0
@@ -222,10 +219,7 @@ class Reduction(NamedTuple):
     columns: tuple[IntVector, ...]  # the free columns of R
     order: IntVector  # puts the free, then the pivot exponents in column order
     floors: Optional[tuple]
-    row: int = 0
-    gcd: int = 1
-    step: int = 1
-    inverse: int = 0
+    congruence: tuple[int, int, int, int]
 
 
 class IntegerForm:
@@ -311,7 +305,7 @@ class IntegerForm:
         free = [j for j in range(k) if j not in pivots]
         columns = tuple(tuple(row[j] for row in rows[:len(pivots)]) for j in free)
         order = tuple(sorted(range(k), key=(free + pivots).__getitem__))
-        congruence = ()
+        congruence = 0, 1, 1, 0
         if free:  # the pivot row whose congruence has the widest step
             w = columns[-1]
             step, i = max((lead // math.gcd(c, lead), i) for i, (c, lead) in enumerate(zip(w, leads)))
@@ -319,15 +313,12 @@ class IntegerForm:
             congruence = i, g, step, pow(w[i] // g, -1, step)
         transforms = tuple(tuple(row[k:]) for row in rows)
         floors = _floors(columns, [self.grades[j] for j in free])
-        return Reduction(transforms, leads, tuple(free), columns, order, floors, *congruence)
+        return Reduction(transforms, leads, tuple(free), columns, order, floors, congruence)
 
-    def solutions(
-        self, target: IntVector, grades: Sequence[int], budget: int, max_steps: float
-    ) -> Iterator[FactorizationVector]:
+    def solutions(self, target: IntVector, grades: Sequence[int], budget: int) -> Iterator[FactorizationVector]:
         """Every z >= 0 with X z == target, of grade ``budget``, in lexicographic
-        order, skipping the subtrees :func:`_floors` proves dead.  Each prefix
-        the walk reaches, dead or not, and each candidate for the last free
-        exponent is a step; more than ``max_steps`` steps raise BudgetExceeded."""
+        order.  :func:`graded_walk` gives the free exponents, under its step
+        budget; each pivot exponent is an exact division."""
         r = self.reduction
         leads, order = r.leads, r.order
         image = [sum(map(mul, row, target)) for row in r.transforms]
@@ -338,23 +329,11 @@ class IntegerForm:
             if all(not rest and q >= 0 for q, rest in pivots):
                 yield tuple(pivots[j][0] for j in order)
             return
-        last, last_grade = r.columns[-1], grades[r.free[-1]]
-        row, g, step, inverse = r.row, r.gcd, r.step, r.inverse
+        last = r.columns[-1]
         free_grades = [grades[j] for j in r.free]
         floors = r.floors if grades is self.grades else _floors(r.columns, free_grades)
-        steps = 0
-        for z, value, left in graded_walk(r.columns, free_grades, budget, image, floors):
-            ms = ()
-            steps += 1
-            if left >= 0:  # not a dead prefix
-                acc = [b - v for b, v in zip(image, value)]
-                a, rest = divmod(acc[row], g)
-                if not rest:
-                    first, top = a * inverse % step, left // last_grade
-                    ms = range(first, top + 1, step)
-                    steps += (top - first) // step + 1  # len(ms), which overflows past sys.maxsize
-            if steps > max_steps:
-                raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
+        for z, value, ms in graded_walk(r.columns, free_grades, budget, image, floors, r.congruence):
+            acc = [b - v for b, v in zip(image, value)]
             for m in ms:
                 pivots = []
                 for b, w, lead in zip(acc, last, leads):
@@ -371,12 +350,11 @@ class IntegerForm:
         """Per generator, its lexicographically first decomposition of length
         >= 2, or None when it is an atom.  :func:`_atom_by_bounds` settles most
         atoms; the walk of every other generator stops at its first
-        decomposition, and more than MAX_STEPS steps raise BudgetExceeded."""
+        decomposition, under the budget of :func:`graded_walk`."""
         rows = (self.grades, *zip(*self.columns))
         return tuple(
             None if _atom_by_bounds(rows, (grade, *target)) else
-            next((z for z in self.solutions(target, self.grades, grade, MAX_STEPS) if sum(z) >= 2),
-                 None)
+            next((z for z in self.solutions(target, self.grades, grade) if sum(z) >= 2), None)
             for target, grade in zip(self.columns, self.grades)
         )
 
@@ -433,37 +411,54 @@ def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> Optional[tup
 def graded_walk(
     columns: Sequence[IntVector], grades: Sequence[int], budget: int,
     image: Sequence[int] = (), floors: Optional[tuple] = None,
-) -> Iterator[tuple[list[int], list[int], int]]:
-    """Yield (z, sum_j z_j * columns[j], grade left) for every exponent vector
-    z on all columns but the last with grade <= budget, in lexicographic order.
+    congruence: tuple[int, int, int, int] = (0, 1, 1, 0),
+) -> Iterator[tuple[list[int], list[int], range]]:
+    """Yield (z, sum_j z_j * columns[j], ms) for every exponent vector z on all
+    columns but the last with grade <= budget, in lexicographic order, whose
+    last exponent has a candidate: ``ms`` is the nonempty range of them.
 
     The grades are positive integers and cap every exponent at
-    budget // grades[j].  The caller's leaf rule sets the last exponent z[-1].
-    ``z`` and the value are the walk's own lists, changed by the next step,
-    so a caller copies what it keeps.  With ``floors`` (see :func:`_floors`),
-    a prefix set last at position p whose acc = image - value some entry of
-    floors[p + 1] proves dead is yielded with grade left -1, so the caller
-    counts it, and the walk goes on to the next value of z[p].
+    budget // grades[j].  The caller sets the last exponent z[-1] to each m in
+    ``ms``: the m of grade at most the grade left that solve w m = acc (mod
+    lead) in one pivot row, where acc = image - value.  ``congruence`` is
+    ``(row, gcd, step, inverse)``: gcd = gcd(w, lead) divides acc[row], and
+    m = acc[row] / gcd * inverse (mod step), where step = lead / gcd.  The
+    default ``(0, 1, 1, 0)`` gives every m.  ``z`` and the value are the
+    walk's own lists, changed by the next step, so a caller copies what it
+    keeps.  With ``floors`` (see :func:`_floors`), a prefix set last at
+    position p whose acc some entry of floors[p + 1] proves dead is skipped
+    with its subtree.  Each prefix reached, dead or not, and each candidate
+    is a step; more than ``factolab.linalg.MAX_STEPS`` steps raise
+    BudgetExceeded.
     """
     if budget < 0:
         return
-    last = len(columns) - 1
+    row, g, step, inverse = congruence
+    last, last_grade = len(columns) - 1, grades[-1]
+    max_steps, steps = linalg.MAX_STEPS, 0
     z = [0] * len(columns)
     value = [0] * len(columns[0])
+    image = image or [0] * len(value)
+    floors = floors or ((),) * len(columns)
     left = budget
     i = -1  # the position set last (-1 at the root); every later one is 0
     while True:
-        dead = False
-        if floors:
-            for r, num, den in floors[i + 1]:
-                if (image[r] - value[r]) * den < left * num:
-                    dead = True
-                    break
-        if dead:
-            yield z, value, -1
+        ms = None
+        steps += 1
+        for r, num, den in floors[i + 1]:
+            if (image[r] - value[r]) * den < left * num:
+                break  # a dead prefix
         else:
-            yield z, value, left
             i = last - 1
+            a, rest = divmod(image[row] - value[row], g)
+            first, top = a * inverse % step, left // last_grade
+            if not rest and first <= top:
+                ms = range(first, top + 1, step)
+                steps += (top - first) // step + 1  # len(ms), which overflows past sys.maxsize
+        if steps > max_steps:
+            raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
+        if ms is not None:
+            yield z, value, ms
         # the lexicographic successor of the prefix z[:last] within the budget;
         # after a dead prefix, the first one past its subtree
         while i >= 0 and left < grades[i]:
@@ -495,7 +490,7 @@ def enumerate_factorizations(
     The positive grading caps every exponent: z_i <= h(x) / h(g_i).  The empty
     tuple means the element is not in the monoid.  Generators need not be
     atoms; the result then lists generator decompositions.  A search longer
-    than MAX_STEPS steps (see IntegerForm.solutions) raises BudgetExceeded.
+    than the budget of :func:`graded_walk` raises BudgetExceeded.
     """
     x = as_element(element)
     if len(x) != presentation.ambient_dim:
@@ -506,7 +501,7 @@ def enumerate_factorizations(
         return ()  # a coordinate off the scaled integer grid: not in the monoid
     target = tuple(c.numerator * (s // c.denominator) for c, s in zip(x, form.scales))
     budget = sum(map(mul, weights, target))
-    return tuple(form.solutions(target, grades, budget, MAX_STEPS))
+    return tuple(form.solutions(target, grades, budget))
 
 
 def length_set(

@@ -32,9 +32,9 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .classify import FactorizationRelation
-from .linalg import InternalContradiction, Rational, format_rational, parse_rational
-from . import monoid as _monoid
-from .monoid import BudgetExceeded, MonoidPresentation
+from . import linalg
+from .linalg import BudgetExceeded, InternalContradiction, Rational, format_rational, parse_rational
+from .monoid import MonoidPresentation
 
 __all__ = [
     "AlgebraWitness",
@@ -90,8 +90,8 @@ class NumericalMonoid:
             )
         self.generators = gens
         m = gens[0]
-        if m > _monoid.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
-            raise BudgetExceeded(f"smallest generator {m} exceeds the budget of {_monoid.MAX_STEPS} steps")
+        if m > linalg.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
+            raise BudgetExceeded(f"smallest generator {m} exceeds the budget of {linalg.MAX_STEPS} steps")
         apery: list[Optional[int]] = [None] * m
         apery[0] = 0
         heap = [(0, 0)]
@@ -464,7 +464,7 @@ def natural_atom_test(
     cut drops a divisor and the first divisor found is the box's first.  A
     full candidate is still certified by :func:`poly_divide_exact`.  Each
     assigned coefficient is a step; a search longer than
-    ``factolab.monoid.MAX_STEPS`` steps raises :class:`BudgetExceeded`, and
+    ``factolab.linalg.MAX_STEPS`` steps raises :class:`BudgetExceeded`, and
     so does a top exponent index above it, before anything is allocated.
     """
     if f.coeff_domain != "N":
@@ -476,8 +476,8 @@ def natural_atom_test(
     numerical = _rank_one_scaling(f.exponent_monoid)[1]
     target = dict(f.index_terms)
     top, low, bound = max(target), min(target), max(target.values())
-    if top > _monoid.MAX_STEPS:
-        raise BudgetExceeded(f"top exponent index {top} exceeds the budget of {_monoid.MAX_STEPS} steps")
+    if top > linalg.MAX_STEPS:
+        raise BudgetExceeded(f"top exponent index {top} exceeds the budget of {linalg.MAX_STEPS} steps")
     f_dense = [target.get(n, 0) for n in range(top + 1)]
     exponents = [n for n in range(top + 1) if numerical.contains(n)]
     stops = exponents[1:] + [top + 1]
@@ -486,7 +486,7 @@ def natural_atom_test(
     prefix: list[tuple[int, int]] = []  # the nonzero (exponent, coefficient) assigned so far
     h = [0] * (top + 1)
     p = steps = 0
-    max_steps = _monoid.MAX_STEPS
+    max_steps = linalg.MAX_STEPS
     while p >= 0:
         c = chosen[p] + 1
         if c > bound:

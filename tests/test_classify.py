@@ -233,9 +233,9 @@ def test_relation_evidence_respects_bound_and_order():
 def test_relation_evidence_step_budget(monkeypatch):
     # 21 prefixes of the walk and 154 candidates for the last exponent
     p = numerical(2, 3)
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 175)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 175)
     assert len(relation_evidence(p, 20)) == 6
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 174)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 174)
     with pytest.raises(BudgetExceeded, match="budget of 174 steps"):
         relation_evidence(p, 20)
 

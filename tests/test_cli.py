@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -134,9 +136,9 @@ def test_analyze_over_the_fourier_motzkin_budget_exits_3(tmp_path, monkeypatch, 
     # the grading LP of these generators takes two lower x upper pairs
     path = tmp_path / "signed.json"
     path.write_text(json.dumps({"dim": 3, "generators": [["1/2", -1, 0], [0, 1, -1], [-1, 0, 3]]}))
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 2)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 2)
     assert run_inproc("analyze", str(path), capsys=capsys)[0] == 0
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 1)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 1)
     assert run_inproc("analyze", str(path)) == (3, "")
     assert capsys.readouterr() == ("", "error: Fourier-Motzkin elimination exceeded its budget of 1 steps\n")
 
@@ -236,6 +238,80 @@ def test_malformed_presentation_exits_1(tmp_path, payload):
 def test_unknown_subcommand_fails():
     result = run_cli("no-such-command")
     assert result.returncode == 2  # argparse usage error
+
+
+FUZZ_VALUES = (0, -1, 10**12, 10**400, "1/0", "x", None, True, 2.5, [], {}, "٣")
+FUZZ_PRESENTATIONS = (
+    {"dim": 2, "generators": [["0", "1"], ["1", "1"], ["2", "1"], ["3", "1"]]},
+    {"dim": 1, "generators": [["2"], ["3"], ["5/2"], ["7/3"]]},
+)
+FUZZ_POLYNOMIAL = {"terms": [[0, 1], [1, 2], [2, 1]]}
+
+
+def fuzz_mutate(rng, data):
+    """One random edit inside a JSON value: an item of a list or an entry of
+    an object is replaced, dropped or added."""
+    nodes = [data]
+    for node in nodes:
+        nodes.extend(v for v in (node.values() if isinstance(node, dict) else node)
+                     if isinstance(v, (dict, list)))
+    node = rng.choice(nodes)
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    action = rng.randrange(3)
+    if keys and action == 0:
+        node[rng.choice(keys)] = rng.choice(FUZZ_VALUES)
+    elif keys and action == 1:
+        del node[rng.choice(keys)]
+    elif isinstance(node, dict):
+        node[rng.choice(("dim", "generators", "label", "terms", "monoid", "x"))] = rng.choice(FUZZ_VALUES)
+    else:
+        node.insert(rng.randint(0, len(node)), rng.choice(FUZZ_VALUES))
+
+
+def fuzz_argv(rng, path):
+    """argv of one subcommand on a mutated input written to ``path``; the
+    argv always parses, so argparse never exits 2."""
+    command = rng.choice(("analyze", "factorize", "evidence", "case1", "semiring-atom"))
+    base = FUZZ_POLYNOMIAL if command == "semiring-atom" else rng.choice(FUZZ_PRESENTATIONS)
+    data = json.loads(json.dumps(base))
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        fuzz_mutate(rng, data)
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)]
+    if command == "factorize":
+        dim = data.get("dim") if isinstance(data, dict) else None
+        scale = rng.choice((1, 10**30, 10**30, -1))  # a nonzero element times 10^30 runs out of budget
+        coords = [rng.randint(0, 8) * scale for _ in range(dim if type(dim) is int and 0 < dim < 5 else 2)]
+        argv.append("--element=" + ",".join(map(str, coords)))
+    elif command == "evidence":
+        argv.append(f"--bound={rng.choice((3, 6, 10**6, 10**6, -2))}")
+    elif command == "case1":
+        argv += [str(rng.randint(-1, 4)), str(rng.randint(-1, 4))]
+    if command in ("analyze", "factorize", "evidence") and rng.random() < 0.5:
+        argv.append("--normalize")
+    return argv
+
+
+def test_seeded_fuzz_ends_in_an_exit_code_not_a_traceback(tmp_path, monkeypatch, capsys):
+    """Mutated presentations and polynomials through five subcommands, in
+    process: every call returns 0 with one JSON document, or 1 or 3 with an
+    ``error:`` line; any other exception fails the test with its traceback.
+    The budget is lowered so that a round that runs out of it takes
+    milliseconds, not a second."""
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**4)
+    rng = random.Random(7)
+    codes = Counter()
+    for _ in range(400):
+        argv = fuzz_argv(rng, tmp_path / "input.json")
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        codes[code] += 1
+        if code == 0:
+            json.loads(out)
+        else:
+            assert code in (1, 3), argv
+            assert out == "" and err.startswith("error: "), argv
+    assert codes[0] >= 80 and codes[1] >= 200 and codes[3] >= 20, codes
 
 
 # ---------------------------------------------------------------------------

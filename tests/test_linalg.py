@@ -321,14 +321,14 @@ def test_fourier_motzkin_step_budget(monkeypatch):
     system = [((a, 1), b) for a, b in ((1, 0), (2, -3), (-1, 1))]
     system += [((c, -1), d) for c, d in ((1, -5), (-2, -9), (0, -6), (3, -20))]
     system += [((1, 0), -4), ((-1, 0), -4)]
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 44)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 44)
     assert solve_inequalities(system, 2) == [Fraction(-5, 2), Fraction(5, 2)]
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 43)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 43)
     with pytest.raises(BudgetExceeded, match="Fourier-Motzkin elimination exceeded its budget of 43 steps"):
         solve_inequalities(system, 2)
     # x + y >= 1 and x - y >= 0 give 2x >= 1, a row the system already has,
     # so x has one lower bound and 1 + 1 pairs suffice
     system = [((1, 1), 1), ((1, -1), 0), ((2, 0), 1), ((-1, 0), -5)]
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 2)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 2)
     assert solve_inequalities(system, 2) == [Fraction(1, 2), Fraction(1, 2)]
     assert BudgetExceeded is linalg.BudgetExceeded

@@ -485,17 +485,28 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
     """The walk with its dead-subtree cut against the box, on presentations
     where the cut fires, under the validated grading and another one; the
     search must keep every factorization, the lexicographic order and the
-    first atom witness."""
-    dead = 0
-    walk = monoid.graded_walk
+    first atom witness.  The walk checks the floors of every prefix it
+    reaches and stops at the first row that proves the prefix dead, so the
+    dead prefixes are those whose rows it does not check to the end."""
+    reached = passed = 0
+    floors_of = monoid._floors
 
-    def counting_walk(*args):
-        nonlocal dead
-        for item in walk(*args):
-            dead += item[2] < 0
-            yield item
+    def passing(rows):
+        nonlocal passed
+        yield from rows
+        passed += 1
 
-    monkeypatch.setattr("factolab.monoid.graded_walk", counting_walk)
+    class CountingFloors(tuple):
+        def __getitem__(self, p):
+            nonlocal reached
+            reached += 1
+            return passing(super().__getitem__(p))
+
+    def counting_floors(*args):
+        floors = floors_of(*args)
+        return floors and CountingFloors(floors)
+
+    monkeypatch.setattr("factolab.monoid._floors", counting_floors)
     rng = random.Random(90210)
     checked = several = reducible = cut = 0
     for _ in range(40):
@@ -505,7 +516,7 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
         def caps(x):
             return [math.floor(h.grade(x) / h.grade(g)) for g in gens]
 
-        before = dead
+        before = reached - passed
         targets = [box_evaluate(gens, [rng.randint(0, top) for _ in gens]) for top in (1, 1, 2)]
         targets.append(tuple(a - b for a, b in zip(targets[0], rng.choice(gens))))
         for y in targets:
@@ -518,7 +529,7 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
                 assert atomic_divisors(p, y, grading) == {i for z in want for i, m in enumerate(z) if m}
             checked += 1
             several += len(want) >= 2
-        cut += dead > before
+        cut += reached - passed > before
 
         if sum(math.prod(c + 1 for c in caps(g)) for g in gens) > 1500:
             continue
@@ -535,7 +546,7 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
             assert (exc.value.index, exc.value.witness) == (i, witness[i])
             reducible += 1
     assert checked >= 100 and several >= 25 and reducible >= 10
-    assert cut >= 25 and dead >= 1000  # the cut fired, on most presentations
+    assert cut >= 25 and reached - passed >= 1000  # the cut fired, on most presentations
 
 
 def test_atom_check_of_a_seven_generator_presentation_in_q4():
@@ -584,9 +595,10 @@ def test_atom_bounds_rules(gens, verdicts):
     assert ("reduction" in vars(form)) == (not all(verdicts))
 
 
-def test_atom_bounds_agree_with_the_unbounded_walk():
+def test_atom_bounds_agree_with_the_unbounded_walk(monkeypatch):
     """Wherever the bounds claim an atom, the walk without a budget finds no
     decomposition of length >= 2."""
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", math.inf)
     rng = random.Random(20261106)
     presentations = claimed = 0
     while presentations < 1000:
@@ -600,7 +612,7 @@ def test_atom_bounds_agree_with_the_unbounded_walk():
         for x, g, atom in zip(form.columns, form.grades, bound_verdicts(form)):
             if atom:
                 claimed += 1
-                assert all(sum(z) < 2 for z in form.solutions(x, form.grades, g, math.inf)), gens
+                assert all(sum(z) < 2 for z in form.solutions(x, form.grades, g)), gens
     assert claimed >= 3000
 
 
@@ -608,23 +620,25 @@ def test_enumeration_step_budget(monkeypatch):
     p = numerical(2, 3)
     assert len(enumerate_factorizations(p, [1000])) == 167
     # one prefix of the walk and 167 candidates for the free exponent
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 168)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 168)
     assert len(enumerate_factorizations(p, [1000])) == 167
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 167)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 167)
     with pytest.raises(BudgetExceeded, match="budget of 167 steps"):
         enumerate_factorizations(p, [1000])
 
 
 def test_pruned_step_budget_on_a_strip(monkeypatch):
     # strip-5 at grade 16: with its dead subtrees cut the search takes 185
-    # steps; the uncut walk took 563
+    # steps; the uncut walk took 563.  A caller grading recomputes the floors.
     p = MonoidPresentation.from_generators([(n, 1) for n in range(6)])
-    assert len(enumerate_factorizations(p, (10, 6))) == 23
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 185)
-    assert len(enumerate_factorizations(p, (10, 6))) == 23
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 184)
-    with pytest.raises(BudgetExceeded, match="budget of 184 steps"):
-        enumerate_factorizations(p, (10, 6))
+    for grading, steps in ((None, 185), (Grading((Fraction(1, 5), Fraction(1))), 159)):
+        monkeypatch.undo()
+        assert len(enumerate_factorizations(p, (10, 6), grading)) == 23
+        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps)
+        assert len(enumerate_factorizations(p, (10, 6), grading)) == 23
+        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps - 1)
+        with pytest.raises(BudgetExceeded, match=f"budget of {steps - 1} steps"):
+            enumerate_factorizations(p, (10, 6), grading)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_numerical_monoid_size_cap(monkeypatch):
     # generator past the step budget is refused before anything is allocated
     with pytest.raises(BudgetExceeded, match="smallest generator 1000000007 exceeds the budget"):
         NumericalMonoid([1000000007, 1000000009])
-    monkeypatch.setattr("factolab.monoid.MAX_STEPS", 10)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10)
     assert NumericalMonoid([10, 11]).frontier == 90
     with pytest.raises(BudgetExceeded, match="budget of 10 steps"):
         NumericalMonoid([11, 12])
@@ -460,9 +460,9 @@ def test_atom_search_step_budget(monkeypatch):
         (nat_poly(3, 0, 0, 2), 28, (True, None)),
     ]
     for f, steps, expected in cases:
-        monkeypatch.setattr("factolab.monoid.MAX_STEPS", steps)
+        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps)
         assert natural_atom_test(f) == expected
-        monkeypatch.setattr("factolab.monoid.MAX_STEPS", steps - 1)
+        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps - 1)
         with pytest.raises(BudgetExceeded, match=f"budget of {steps - 1} steps"):
             natural_atom_test(f)
 
