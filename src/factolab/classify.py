@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import floor, gcd
 from typing import Optional
 
-from .linalg import InternalContradiction, LatticeBasis, homogeneous_lp_witness
+from .linalg import InternalContradiction, LatticeBasis, homogeneous_lp_witness, parse_rational
 from .monoid import (
     FactorizationVector,
     Grading,
@@ -274,18 +273,29 @@ def relation_evidence(
     is reported (long or lexicographically larger side first).  Relations are
     sorted by grade, then element, then left side.  The walk raises
     BudgetExceeded past its budget (see :func:`~factolab.monoid.graded_walk`).
+
+    Each integer column x of the form is walked as the one integer
+    sum_r x_r * B**(d - 1 - r), with B = 2 * budget * max|X| + 1 for the
+    integer grade budget and the largest entry X of any column.  Every grade
+    is at least 1, so an element of grade <= budget has |x_r| <=
+    budget * max|X| < B / 2: its key is a balanced base-B numeral with the
+    coordinates as digits, which is injective on these elements and orders
+    them as their tuples do.
     """
     ensure_normalized(presentation)
     form = presentation.integer_form
     unit, _, grades = form.integer_grading(grading)
-    groups: dict[tuple[int, ...], list[FactorizationVector]] = {}
-    last = form.columns[-1]
-    for z, value, ms in graded_walk(form.columns, grades, floor(Fraction(bound) * unit)):
+    budget = floor(parse_rational(bound) * unit)
+    radix = 2 * budget * max(abs(c) for x in form.columns for c in x) + 1
+    keys = [(sum(c * radix**r for r, c in enumerate(reversed(x))),) for x in form.columns]
+    groups: dict[int, list[FactorizationVector]] = {}
+    last = keys[-1][0]
+    for z, value, ms in graded_walk(keys, grades, budget):
         for m in ms:
             z[-1] = m
-            groups.setdefault(tuple(v + m * c for v, c in zip(value, last)), []).append(tuple(z))
+            groups.setdefault(value[0] + m * last, []).append(tuple(z))
 
-    # Scaled grades and elements sort as the rational ones do.
+    # Scaled grades and element keys sort as the rational grades and elements do.
     found: list[tuple] = []
     for element, members in groups.items():
         if len(members) < 2:

@@ -17,6 +17,7 @@ is approximate.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -41,13 +42,20 @@ class BudgetExceeded(RuntimeError):
 MAX_STEPS = 10**6  # the step budget of every search, Fourier-Motzkin elimination included
 
 
+# ASCII only: Fraction alone also reads exponents ("1e10000000" builds a
+# 33-million-bit integer), "_" separators and non-ASCII digits.
+_RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.[0-9]*)")
+
+
 def parse_rational(value: Rational) -> Fraction:
-    """Parse a rational given as ``Fraction``, ``int`` (not ``bool``), or a string "p/q" / "n"."""
+    """Parse a rational given as ``Fraction``, ``int`` (not ``bool``), or a
+    string: an optionally signed integer "n", "p/q" or a decimal "1.5", with
+    ASCII digits and optional surrounding whitespace."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value.strip()):
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

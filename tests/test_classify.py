@@ -28,10 +28,12 @@ from factolab.monoid import (
     BudgetExceeded,
     MonoidPresentation,
     NotNormalized,
+    NotPointed,
     enumerate_factorizations,
     normalize_atoms,
     validate_presentation,
 )
+from helpers import box_relations
 
 
 def numerical(*values, label=None):
@@ -238,6 +240,32 @@ def test_relation_evidence_step_budget(monkeypatch):
     monkeypatch.setattr("factolab.linalg.MAX_STEPS", 174)
     with pytest.raises(BudgetExceeded, match="budget of 174 steps"):
         relation_evidence(p, 20)
+
+
+def test_relation_evidence_keys_are_injective():
+    # (0, 3) and (2, 0) evaluate to (3, -3) and (2, 2), whose keys a radix of
+    # half the width, 4 * 1 + 1, would both make 12
+    p = MonoidPresentation.from_generators([(1, 1), (1, -1)])
+    assert relation_evidence(p, 4) == []
+
+
+def test_relation_evidence_matches_the_box_under_the_validated_grading():
+    rng = random.Random(4141)
+    presentations = relations = 0
+    while presentations < 50:
+        d = rng.randint(2, 3)
+        gens = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, 5))}
+        try:
+            q = normalize_atoms(MonoidPresentation.from_generators(sorted(g for g in gens if any(g))))
+        except NotPointed:
+            continue
+        weight = validate_presentation(q).grade
+        for bound in (-1, 0, Fraction(7, 2), 6):
+            want = box_relations(q.generators, weight, bound)
+            assert [(r.left, r.right) for r in relation_evidence(q, bound)] == want, (q, bound)
+            relations += len(want)
+        presentations += 1
+    assert relations >= 40, relations
 
 
 def test_rank_one_reading_matches_the_lp():

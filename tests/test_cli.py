@@ -161,10 +161,13 @@ def test_evidence_over_budget_exits_3(p23):
     # generator 0 is no atom, and the walk for its witness is over budget
     ([[10**30, 0], [0, 1], [1, 1], [2, -1]], 3,
      "error: search exceeded its budget of 1000000 steps"),
-], ids=["atom-by-bounds", "over-budget"])
+    # exponent notation is refused before it builds a 33-million-bit integer
+    ([["2"], ["1e10000000"]], 1,
+     "error: cannot interpret '1e10000000' as a rational number"),
+], ids=["atom-by-bounds", "over-budget", "exponent-notation"])
 def test_analyze_with_a_huge_generator_ends_fast(tmp_path, generators, code, error):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"dim": 2, "generators": generators}))
+    path.write_text(json.dumps({"dim": len(generators[0]), "generators": generators}))
     result = run_cli("analyze", str(path), timeout=10)
     assert result.returncode == code, result.stderr
     assert result.stdout == ""

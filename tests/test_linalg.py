@@ -63,6 +63,14 @@ def test_parse_rational_rejects_zero_denominator():
         parse_rational("1/0")
 
 
+def test_parse_rational_takes_only_ascii_forms():
+    assert parse_rational(" -1.5 ") == Fraction(-3, 2)
+    # Fraction alone reads each of these as an integer
+    for text in ("1e3", "1_000", "٣"):
+        with pytest.raises(ValueError, match=f"cannot interpret {text!r}"):
+            parse_rational(text)
+
+
 # ---------------------------------------------------------------------------
 # integer kernels
 # ---------------------------------------------------------------------------
