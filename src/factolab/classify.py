@@ -33,7 +33,6 @@ from typing import Optional
 from .linalg import InternalContradiction, LatticeBasis, homogeneous_lp_witness, parse_rational
 from .monoid import (
     FactorizationVector,
-    Grading,
     MonoidPresentation,
     ensure_normalized,
     graded_walk,
@@ -260,12 +259,9 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
     )
 
 
-def relation_evidence(
-    presentation: MonoidPresentation,
-    bound,
-    grading: Optional[Grading] = None,
-) -> list[FactorizationRelation]:
-    """All irredundant relations of grade <= bound, by raw element grouping.
+def relation_evidence(presentation: MonoidPresentation, bound) -> list[FactorizationRelation]:
+    """All irredundant relations of grade <= bound under the validated grading,
+    by raw element grouping.
 
     This is the package's bounded brute-force oracle: it never touches the
     kernel lattice.  Exponent vectors within the grade budget are grouped by
@@ -284,13 +280,12 @@ def relation_evidence(
     """
     ensure_normalized(presentation)
     form = presentation.integer_form
-    unit, _, grades = form.integer_grading(grading)
-    budget = floor(parse_rational(bound) * unit)
+    budget = floor(parse_rational(bound) * form.unit)
     radix = 2 * budget * max(abs(c) for x in form.columns for c in x) + 1
     keys = [(sum(c * radix**r for r, c in enumerate(reversed(x))),) for x in form.columns]
     groups: dict[int, list[FactorizationVector]] = {}
     last = keys[-1][0]
-    for z, value, ms in graded_walk(keys, grades, budget):
+    for z, value, ms in graded_walk(keys, form.grades, budget):
         for m in ms:
             z[-1] = m
             groups.setdefault(value[0] + m * last, []).append(tuple(z))
@@ -300,7 +295,7 @@ def relation_evidence(
     for element, members in groups.items():
         if len(members) < 2:
             continue
-        grade = sum(m * g for m, g in zip(members[0], grades))
+        grade = sum(m * g for m, g in zip(members[0], form.grades))
         for a, z1 in enumerate(members):
             for z2 in members[a + 1 :]:
                 if any(x and y for x, y in zip(z1, z2)):

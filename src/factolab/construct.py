@@ -134,33 +134,31 @@ def build_master_monoid(spec: MasterSpec) -> MonoidPresentation:
 def pls_example(purely_long: int, purely_short: int) -> MonoidPresentation:
     """A monoid with the requested pure-atom counts and no other atoms.
 
-    Searches admissible master specs with ``purely_long`` long atoms and
-    ``purely_short`` short atoms in a deterministic order — iterative
-    deepening on the maximum multiplicity, then lexicographic on the
-    concatenated multiplicity tuple ``a + b`` — and returns the realization
-    of the first spec whose classification shows exactly the requested
-    numbers of purely long and purely short atoms.
+    Returns the realization of the first admissible master spec with
+    ``purely_long`` long atoms and ``purely_short`` short atoms in a
+    deterministic order: iterative deepening on the maximum multiplicity,
+    then lexicographic on the concatenated multiplicity tuple ``a + b``.
+    Every admissible spec has the requested counts: the kernel of its
+    realization is spanned by the primitive w = (a, -b), whose coordinate
+    sum sigma(w) = sum(a) - sum(b) is positive.  By the rank-one rule of
+    :mod:`factolab.classify` (atom i is purely long iff sigma(w) w_i > 0 and
+    purely short iff sigma(w) w_i < 0), each long atom is purely long and
+    each short atom purely short.
     """
     if purely_long < 1 or purely_short < 1:
         raise ValueError(
             "pure-atom counts must be at least 1: a monoid with a master "
             "relation has at least one atom of each kind"
         )
+    # specs of maximum below the cap failed under a smaller cap, so revisiting
+    # them keeps the order
     for cap in itertools.count(2):
         for a in itertools.product(range(1, cap + 1), repeat=purely_long):
             for b in itertools.product(range(1, cap + 1), repeat=purely_short):
-                if cap > 2 and max(*a, *b) != cap:
-                    continue  # already visited under a smaller cap
                 try:
-                    spec = MasterSpec(a, b)
+                    return build_master_monoid(MasterSpec(a, b))
                 except InvalidMasterSpec:
                     continue
-                monoid = build_master_monoid(spec)
-                report = classify(monoid)
-                if len(report.purely_long) == purely_long and len(
-                    report.purely_short
-                ) == purely_short:
-                    return monoid
     raise AssertionError("unreachable: the search space is unbounded")
 
 

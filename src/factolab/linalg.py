@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -55,11 +56,16 @@ def parse_rational(value: Rational) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value.strip()):
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(text := value.strip()):
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"{value!r} has a zero denominator") from None
+        except ValueError:  # an integer past the interpreter's digit limit
+            raise ValueError(
+                f"entry {text[:16]!r}... has {sum(map(str.isdigit, text))} digits, "
+                f"above the limit of {sys.get_int_max_str_digits()} digits per integer"
+            ) from None
     raise ValueError(f"cannot interpret {value!r} as a rational number")
 
 

@@ -211,7 +211,7 @@ class Reduction(NamedTuple):
     after it, so a lexicographic walk of the free exponents is lexicographic in
     z.  The last free exponent m solves w m = acc (mod lead) in one pivot row:
     ``congruence`` is the :func:`graded_walk` congruence of that row.
-    ``floors``: :func:`_floors` under the validated grades."""
+    ``floors``: :func:`_floors` under the form's grades."""
 
     transforms: tuple[IntVector, ...]  # T; its rows past the pivot rows vanish on X
     leads: IntVector  # per pivot row, the only nonzero entry of its column in R, > 0
@@ -226,10 +226,12 @@ class IntegerForm:
     """A validated presentation in integers, built once on first use.
 
     Coordinate row i times ``scales[i]`` makes every generator an integer
-    column.  A grading h becomes integer weights u on the scaled coordinates
-    with u . X = c * h(x) for one integer c > 0.  Both scalings are positive,
-    so they keep every relation, factorization and order of elements.  The
-    factorization search runs on ``reduction``, an elimination of the columns.
+    column.  The validated grading h becomes integer ``weights`` u on the
+    scaled coordinates with u . X = ``unit`` * h(x) for the least integer
+    unit > 0; ``grades`` are the generators' grades u . x.  Both scalings are
+    positive, so they keep every relation, factorization and order of
+    elements.  Every search runs under these grades, on ``reduction``, an
+    elimination of the columns.
     """
 
     def __init__(self, presentation: MonoidPresentation):
@@ -261,23 +263,9 @@ class IntegerForm:
         low = min(sum(map(mul, u, x)) for x in self.columns)
         ratios = [Fraction(w) / low for w in u]
         self.grading = Grading(tuple(s * q for s, q in zip(self.scales, ratios)))
-        self.unit, self.weights, self.grades = self._scaled(ratios)
-
-    def integer_grading(self, grading: Optional[Grading]) -> tuple[int, IntVector, IntVector]:
-        """(c, u, generator grades) of ``grading``; of the validated one for None."""
-        if grading is None:
-            return self.unit, self.weights, self.grades
-        return self._scaled([Fraction(w) / s
-                             for w, s in zip(grading.weights, self.scales, strict=True)])
-
-    def _scaled(self, ratios: Sequence[Fraction]) -> tuple[int, IntVector, IntVector]:
-        """(c, c * ratios, generator grades) for the least c making c * ratios integral."""
-        c = math.lcm(*(q.denominator for q in ratios))
-        weights = tuple(q.numerator * (c // q.denominator) for q in ratios)
-        grades = tuple(sum(map(mul, weights, x)) for x in self.columns)
-        if min(grades) <= 0:
-            raise ValueError("a grading must be positive on every generator")
-        return c, weights, grades
+        self.unit = math.lcm(*(q.denominator for q in ratios))
+        self.weights = tuple(q.numerator * (self.unit // q.denominator) for q in ratios)
+        self.grades = tuple(sum(map(mul, self.weights, x)) for x in self.columns)
 
     @cached_property
     def kernel(self) -> LatticeBasis:
@@ -315,10 +303,10 @@ class IntegerForm:
         floors = _floors(columns, [self.grades[j] for j in free])
         return Reduction(transforms, leads, tuple(free), columns, order, floors, congruence)
 
-    def solutions(self, target: IntVector, grades: Sequence[int], budget: int) -> Iterator[FactorizationVector]:
-        """Every z >= 0 with X z == target, of grade ``budget``, in lexicographic
-        order.  :func:`graded_walk` gives the free exponents, under its step
-        budget; each pivot exponent is an exact division."""
+    def solutions(self, target: IntVector, budget: int) -> Iterator[FactorizationVector]:
+        """Every z >= 0 with X z == target, of grade ``budget`` under ``grades``,
+        in lexicographic order.  :func:`graded_walk` gives the free exponents,
+        under its step budget; each pivot exponent is an exact division."""
         r = self.reduction
         leads, order = r.leads, r.order
         image = [sum(map(mul, row, target)) for row in r.transforms]
@@ -330,9 +318,8 @@ class IntegerForm:
                 yield tuple(pivots[j][0] for j in order)
             return
         last = r.columns[-1]
-        free_grades = [grades[j] for j in r.free]
-        floors = r.floors if grades is self.grades else _floors(r.columns, free_grades)
-        for z, value, ms in graded_walk(r.columns, free_grades, budget, image, floors, r.congruence):
+        free_grades = [self.grades[j] for j in r.free]
+        for z, value, ms in graded_walk(r.columns, free_grades, budget, image, r.floors, r.congruence):
             acc = [b - v for b, v in zip(image, value)]
             for m in ms:
                 pivots = []
@@ -354,7 +341,7 @@ class IntegerForm:
         rows = (self.grades, *zip(*self.columns))
         return tuple(
             None if _atom_by_bounds(rows, (grade, *target)) else
-            next((z for z in self.solutions(target, self.grades, grade) if sum(z) >= 2), None)
+            next((z for z in self.solutions(target, grade) if sum(z) >= 2), None)
             for target, grade in zip(self.columns, self.grades)
         )
 
@@ -480,47 +467,34 @@ def graded_walk(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_factorizations(
-    presentation: MonoidPresentation,
-    element: Iterable,
-    grading: Optional[Grading] = None,
-) -> tuple[FactorizationVector, ...]:
+def enumerate_factorizations(presentation: MonoidPresentation, element: Iterable) -> tuple[FactorizationVector, ...]:
     """All exponent vectors z with sum_i z_i g_i = element, sorted lexicographically.
 
-    The positive grading caps every exponent: z_i <= h(x) / h(g_i).  The empty
-    tuple means the element is not in the monoid.  Generators need not be
-    atoms; the result then lists generator decompositions.  A search longer
-    than the budget of :func:`graded_walk` raises BudgetExceeded.
+    The validated grading h caps every exponent: z_i <= h(x) / h(g_i).  The
+    result does not depend on it.  The empty tuple means the element is not in
+    the monoid.  Generators need not be atoms; the result then lists generator
+    decompositions.  A search longer than the budget of :func:`graded_walk`
+    raises BudgetExceeded.
     """
     x = as_element(element)
     if len(x) != presentation.ambient_dim:
         raise DimensionMismatch("element does not live in the ambient space")
     form = presentation.integer_form
-    _, weights, grades = form.integer_grading(grading)
     if any(s % c.denominator for c, s in zip(x, form.scales)):
         return ()  # a coordinate off the scaled integer grid: not in the monoid
     target = tuple(c.numerator * (s // c.denominator) for c, s in zip(x, form.scales))
-    budget = sum(map(mul, weights, target))
-    return tuple(form.solutions(target, grades, budget))
+    return tuple(form.solutions(target, sum(map(mul, form.weights, target))))
 
 
-def length_set(
-    presentation: MonoidPresentation,
-    element: Iterable,
-    grading: Optional[Grading] = None,
-) -> set[int]:
+def length_set(presentation: MonoidPresentation, element: Iterable) -> set[int]:
     """The set of factorization lengths of the element."""
-    return {sum(z) for z in enumerate_factorizations(presentation, element, grading)}
+    return {sum(z) for z in enumerate_factorizations(presentation, element)}
 
 
-def atomic_divisors(
-    presentation: MonoidPresentation,
-    element: Iterable,
-    grading: Optional[Grading] = None,
-) -> set[int]:
+def atomic_divisors(presentation: MonoidPresentation, element: Iterable) -> set[int]:
     """Indices of generators appearing in at least one factorization."""
     divisors: set[int] = set()
-    for z in enumerate_factorizations(presentation, element, grading):
+    for z in enumerate_factorizations(presentation, element):
         divisors.update(i for i, m in enumerate(z) if m > 0)
     return divisors
 

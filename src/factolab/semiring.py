@@ -119,8 +119,12 @@ class NumericalMonoid:
         return self.contains(n)
 
     def gaps(self) -> tuple[int, ...]:
-        """The finitely many nonnegative integers outside the monoid."""
-        return tuple(n for n in range(self.frontier) if not self.contains(n))
+        """The finitely many nonnegative integers outside the monoid; a
+        conductor past ``factolab.linalg.MAX_STEPS`` raises BudgetExceeded."""
+        frontier = self.frontier
+        if frontier > linalg.MAX_STEPS:  # checked before the candidates are scanned
+            raise BudgetExceeded(f"conductor {frontier} exceeds the budget of {linalg.MAX_STEPS} steps")
+        return tuple(n for n in range(frontier) if not self.contains(n))
 
     def __repr__(self) -> str:
         return f"NumericalMonoid{self.generators}"
@@ -146,12 +150,16 @@ def monoid_elements_up_to(
 ) -> list[Fraction]:
     """All monoid elements up to ``bound``, ascending.
 
-    ``None`` stands for the natural numbers.
+    ``None`` stands for the natural numbers.  More than
+    ``factolab.linalg.MAX_STEPS`` candidates raise BudgetExceeded.
     """
     if bound < 0:
         return []
     unit, numerical = _rank_one_scaling(exponent_monoid)
-    return [n * unit for n in range(bound // unit + 1) if numerical.contains(n)]
+    count = bound // unit + 1
+    if count > linalg.MAX_STEPS:  # checked before the candidates are listed
+        raise BudgetExceeded(f"{count} candidates exceed the budget of {linalg.MAX_STEPS} steps")
+    return [n * unit for n in range(count) if numerical.contains(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_criterion_1_two_three_pair():
         for value in range(0, 81):
             if h.grade((value,)) > 40:
                 continue
-            factorizations = enumerate_factorizations(p, (value,), h)
+            factorizations = enumerate_factorizations(p, (value,))
             lengths = [sum(z) for z in factorizations]
             assert len(set(lengths)) == len(lengths), f"equal lengths at {value}"
             checked += len(factorizations)
@@ -442,7 +442,7 @@ def _divisor_property_on_chain(chain) -> None:
 
 
 def _instance_elements(presentation, spec, headroom: int):
-    """(grading, {x: seed factorization}) for x = master element + small y."""
+    """{x: seed factorization} for x = master element + small y."""
     h = ensure_normalized(presentation)
     k = presentation.atom_count
     m = len(spec.long_side)
@@ -477,25 +477,23 @@ def _instance_elements(presentation, spec, headroom: int):
         acc[idx] = 0
 
     walk(0, headroom * grade_scale, [0] * presentation.ambient_dim)
-    return h, {
+    return {
         tuple(m + Fraction(v, scale) for m, v in zip(mstar, x)): z
         for x, z in seeds.items()
     }
 
 
-def _check_lfm_divisor_property_via_library(presentation, h, x, chain) -> None:
+def _check_lfm_divisor_property_via_library(presentation, x, chain) -> None:
     """Full-stack check: enumeration, divisor set, and the property itself."""
     gens = presentation.generators
-    factorizations = enumerate_factorizations(presentation, x, h)
+    factorizations = enumerate_factorizations(presentation, x)
     assert list(factorizations) == sorted(chain), "chain disagrees with enumeration"
     union_all = {i for z in chain for i, c in enumerate(z) if c}
-    assert atomic_divisors(presentation, x, h) == union_all
+    assert atomic_divisors(presentation, x) == union_all
     independent = {
         i
         for i in range(len(gens))
-        if enumerate_factorizations(
-            presentation, tuple(a - b for a, b in zip(x, gens[i])), h
-        )
+        if enumerate_factorizations(presentation, tuple(a - b for a, b in zip(x, gens[i])))
     }
     assert independent == union_all, "membership-based divisors disagree"
     two_shortest = sorted(factorizations, key=sum)[:2]
@@ -511,16 +509,16 @@ def _lfm_divisor_suite() -> str:
     for value in range(0, 51):
         if h.grade((value,)) > 25:
             continue
-        factorizations = enumerate_factorizations(p, (value,), h)
+        factorizations = enumerate_factorizations(p, (value,))
         if len(factorizations) < 2:
             continue
         two_shortest = sorted(factorizations, key=sum)[:2]
         support = {i for z in two_shortest for i, c in enumerate(z) if c}
-        divisors = atomic_divisors(p, (value,), h)
+        divisors = atomic_divisors(p, (value,))
         independent = {
             i
             for i, g in enumerate(p.generators)
-            if enumerate_factorizations(p, (value - g[0],), h)
+            if enumerate_factorizations(p, (value - g[0],))
         }
         assert independent == divisors
         assert divisors <= support, f"divisor outside two shortest at {value}"
@@ -543,13 +541,13 @@ def _lfm_divisor_suite() -> str:
             headroom, cross = (2, True) if k4_count % 10 == 1 else (4, False)
         else:
             headroom, cross = 4, False
-        h, seeds = _instance_elements(presentation, spec, headroom)
+        seeds = _instance_elements(presentation, spec, headroom)
         for x, z0 in seeds.items():
             chain = _rank_one_chain(report, z0)
             _divisor_property_on_chain(chain)
             checked += 1
             if cross:
-                _check_lfm_divisor_property_via_library(presentation, h, x, chain)
+                _check_lfm_divisor_property_via_library(presentation, x, chain)
                 cross_checked += 1
     return (
         f"divisor property: {anchored} anchor elements to grade 25, "

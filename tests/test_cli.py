@@ -164,7 +164,11 @@ def test_evidence_over_budget_exits_3(p23):
     # exponent notation is refused before it builds a 33-million-bit integer
     ([["2"], ["1e10000000"]], 1,
      "error: cannot interpret '1e10000000' as a rational number"),
-], ids=["atom-by-bounds", "over-budget", "exponent-notation"])
+    # past the interpreter's digit limit: the entry is named, without advice about sys
+    ([["2"], ["1" * 5000]], 1,
+     f"error: entry '{'1' * 16}'... has 5000 digits, above the limit of "
+     f"{sys.get_int_max_str_digits()} digits per integer"),
+], ids=["atom-by-bounds", "over-budget", "exponent-notation", "digit-limit"])
 def test_analyze_with_a_huge_generator_ends_fast(tmp_path, generators, code, error):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dim": len(generators[0]), "generators": generators}))

@@ -151,7 +151,7 @@ def test_pls_example_2_1_and_1_2():
 
 
 def test_pls_example_counts_sweep():
-    for long_count, short_count in itertools.product(range(1, 4), repeat=2):
+    for long_count, short_count in itertools.product(range(1, 5), repeat=2):
         p = pls_example(long_count, short_count)
         report = classify(p)
         assert len(report.purely_long) == long_count

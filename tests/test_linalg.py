@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -69,6 +70,11 @@ def test_parse_rational_takes_only_ascii_forms():
     for text in ("1e3", "1_000", "٣"):
         with pytest.raises(ValueError, match=f"cannot interpret {text!r}"):
             parse_rational(text)
+    # past the interpreter's digit limit, Fraction's error would advise a sys call
+    limit = sys.get_int_max_str_digits()
+    message = f"entry '{'1' * 16}'... has {limit + 700} digits, above the limit of {limit} digits per integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_rational("1" * (limit + 700))
 
 
 # ---------------------------------------------------------------------------

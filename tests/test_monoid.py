@@ -264,7 +264,7 @@ def test_factorizations_complete_against_box_oracle():
         x = p.evaluate(z0)
         if h.grade(x) > 20:
             continue
-        got = enumerate_factorizations(p, x, h)
+        got = enumerate_factorizations(p, x)
         assert list(got) == naive_box_factorizations(p, x, 20)
         checked += 1
 
@@ -278,14 +278,6 @@ def test_factorizations_monotone_under_divisibility():
         atom = rng.randrange(4)
         y = tuple(a + b for a, b in zip(x, p.generators[atom]))
         assert len(enumerate_factorizations(p, x)) <= len(enumerate_factorizations(p, y))
-
-
-def test_factorizations_independent_of_grading():
-    p = numerical(2, 3)
-    h1 = validate_presentation(p)
-    h2 = Grading((Fraction(5),))
-    for x in ([6], [12], [7], [1]):
-        assert enumerate_factorizations(p, x, h1) == enumerate_factorizations(p, x, h2)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +308,14 @@ def random_walk_generators(rng):
 
 
 def test_walk_matches_box_oracles():
-    """Factorizations, atom witnesses and relation evidence against raw box
-    searches bounded by the coordinate sum, which is positive on every
-    generator here."""
+    """Factorizations and atom witnesses against raw box searches bounded by
+    the coordinate sum, which is positive on every generator here, and
+    relation evidence against the box under the validated grading."""
     rng = random.Random(20261018)
     checked = 0
     for _ in range(40):
         gens = random_walk_generators(rng)
         p = MonoidPresentation.from_generators(gens)
-        d = len(gens[0])
-        coordinate_sum = Grading(tuple(Fraction(1) for _ in range(d)))
 
         def caps(x):
             return [math.floor(sum(x) / sum(g)) for g in gens]
@@ -340,7 +330,6 @@ def test_walk_matches_box_oracles():
                 continue
             want = box_factorizations(gens, y, caps(y))
             assert list(enumerate_factorizations(p, y)) == want, (gens, y)
-            assert list(enumerate_factorizations(p, y, coordinate_sum)) == want
             checked += 1
         assert enumerate_factorizations(p, off_grid) == ()
 
@@ -364,8 +353,8 @@ def test_walk_matches_box_oracles():
                 ensure_normalized(p)
 
         bound = rng.choice((Fraction(7), Fraction(13, 2)))
-        rels = relation_evidence(q, bound, coordinate_sum)
-        assert [(r.left, r.right) for r in rels] == box_relations(keep, sum, bound)
+        rels = relation_evidence(q, bound)
+        assert [(r.left, r.right) for r in rels] == box_relations(keep, validate_presentation(q).grade, bound)
     assert checked >= 100
 
 
@@ -409,7 +398,6 @@ def test_elimination_matches_box_oracles():
         free = [j for j in range(k) if solve_rational_combination(gens[j + 1:], gens[j]) is not None]
         assert k - len(free) >= 2
         scattered += free != list(range(len(free)))
-        coordinate_sum = Grading(tuple(Fraction(1) for _ in range(d)))
 
         def caps(x):
             return [math.floor(sum(x) / sum(g)) for g in gens]
@@ -427,8 +415,7 @@ def test_elimination_matches_box_oracles():
                 continue
             want = box_factorizations(gens, y, caps(y))
             assert list(enumerate_factorizations(p, y)) == want, (gens, y)
-            assert list(enumerate_factorizations(p, y, coordinate_sum)) == want
-            assert length_set(p, y, coordinate_sum) == {sum(z) for z in want}
+            assert length_set(p, y) == {sum(z) for z in want}
             checked += 1
             outside += y is targets[-1] and copy
             several += len(want) >= 2
@@ -483,9 +470,9 @@ def random_pruning_presentation(rng):
 
 def test_pruned_walk_matches_box_oracles(monkeypatch):
     """The walk with its dead-subtree cut against the box, on presentations
-    where the cut fires, under the validated grading and another one; the
-    search must keep every factorization, the lexicographic order and the
-    first atom witness.  The walk checks the floors of every prefix it
+    where the cut fires; the box is bounded by the drawn grading, the walk by
+    the validated one.  The search must keep every factorization, the
+    lexicographic order and the first atom witness.  The walk checks the floors of every prefix it
     reaches and stops at the first row that proves the prefix dead, so the
     dead prefixes are those whose rows it does not check to the end."""
     reached = passed = 0
@@ -509,7 +496,7 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
     monkeypatch.setattr("factolab.monoid._floors", counting_floors)
     rng = random.Random(90210)
     checked = several = reducible = cut = 0
-    for _ in range(40):
+    for _ in range(60):
         gens, h = random_pruning_presentation(rng)
         p = MonoidPresentation.from_generators(gens)
 
@@ -523,10 +510,9 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
             if math.prod(c + 1 for c in caps(y)) > 1500:
                 continue
             want = box_factorizations(gens, y, caps(y))
-            for grading in (None, h):
-                assert list(enumerate_factorizations(p, y, grading)) == want, (gens, y)
-                assert length_set(p, y, grading) == {sum(z) for z in want}
-                assert atomic_divisors(p, y, grading) == {i for z in want for i, m in enumerate(z) if m}
+            assert list(enumerate_factorizations(p, y)) == want, (gens, y)
+            assert length_set(p, y) == {sum(z) for z in want}
+            assert atomic_divisors(p, y) == {i for z in want for i, m in enumerate(z) if m}
             checked += 1
             several += len(want) >= 2
         cut += reached - passed > before
@@ -612,7 +598,7 @@ def test_atom_bounds_agree_with_the_unbounded_walk(monkeypatch):
         for x, g, atom in zip(form.columns, form.grades, bound_verdicts(form)):
             if atom:
                 claimed += 1
-                assert all(sum(z) < 2 for z in form.solutions(x, form.grades, g)), gens
+                assert all(sum(z) < 2 for z in form.solutions(x, g)), gens
     assert claimed >= 3000
 
 
@@ -629,16 +615,14 @@ def test_enumeration_step_budget(monkeypatch):
 
 def test_pruned_step_budget_on_a_strip(monkeypatch):
     # strip-5 at grade 16: with its dead subtrees cut the search takes 185
-    # steps; the uncut walk took 563.  A caller grading recomputes the floors.
+    # steps; the uncut walk took 563
     p = MonoidPresentation.from_generators([(n, 1) for n in range(6)])
-    for grading, steps in ((None, 185), (Grading((Fraction(1, 5), Fraction(1))), 159)):
-        monkeypatch.undo()
-        assert len(enumerate_factorizations(p, (10, 6), grading)) == 23
-        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps)
-        assert len(enumerate_factorizations(p, (10, 6), grading)) == 23
-        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps - 1)
-        with pytest.raises(BudgetExceeded, match=f"budget of {steps - 1} steps"):
-            enumerate_factorizations(p, (10, 6), grading)
+    assert len(enumerate_factorizations(p, (10, 6))) == 23
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 185)
+    assert len(enumerate_factorizations(p, (10, 6))) == 23
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 184)
+    with pytest.raises(BudgetExceeded, match="budget of 184 steps"):
+        enumerate_factorizations(p, (10, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,17 @@ def test_numerical_monoid_gaps_of_a_wide_pair():
     assert max(gaps) == a * b - a - b
 
 
+def test_numerical_monoid_gaps_budget(monkeypatch):
+    # the conductor of <1000, 10**12 + 1> is about 10**15: refused before any scan
+    with pytest.raises(BudgetExceeded, match="conductor 999000000000000 exceeds the budget of 1000000 steps"):
+        NumericalMonoid([1000, 10**12 + 1]).gaps()
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 12)
+    assert NumericalMonoid([5, 4]).gaps() == (1, 2, 3, 6, 7, 11)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 11)
+    with pytest.raises(BudgetExceeded, match="conductor 12 exceeds the budget of 11 steps"):
+        NumericalMonoid([5, 4]).gaps()
+
+
 def test_numerical_monoid_of_a_large_pair():
     a, b = 3001, 3007
     nm = NumericalMonoid([a, b])
@@ -155,6 +166,16 @@ def test_monoid_elements_up_to():
     ]
     assert monoid_elements_up_to(None, Fraction(3)) == [0, 1, 2, 3]
     assert monoid_elements_up_to(None, Fraction(-1)) == []
+
+
+def test_monoid_elements_up_to_budget(monkeypatch):
+    with pytest.raises(BudgetExceeded, match="100000001 candidates exceed the budget of 1000000 steps"):
+        monoid_elements_up_to(None, 10**8)
+    pm = MonoidPresentation.from_values([Fraction(1, 2), Fraction(2, 3)])
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10)
+    assert len(monoid_elements_up_to(pm, Fraction(3, 2))) == 7  # indices 0..9 over the unit 1/6
+    with pytest.raises(BudgetExceeded, match="11 candidates exceed the budget of 10 steps"):
+        monoid_elements_up_to(pm, Fraction(5, 3))
 
 
 # ---------------------------------------------------------------------------
