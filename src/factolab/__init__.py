@@ -4,7 +4,12 @@ Classify finitely generated pointed commutative monoids given by rational
 generator vectors (unique / length / half factoriality, prime and purely
 long or short atoms, master relations), construct extremal examples, and
 verify irreducibility witnesses in monoid semirings.
+
+``import factolab`` loads ``linalg``, ``monoid`` and ``classify``;
+``construct`` and ``semiring`` load on first use of one of their names.
 """
+
+import importlib
 
 from .classify import (
     AtomLabel,
@@ -12,15 +17,6 @@ from .classify import (
     FactorizationRelation,
     classify,
     relation_evidence,
-)
-from .construct import (
-    Fixture,
-    InvalidMasterSpec,
-    MasterSpec,
-    build_master_monoid,
-    fixture_gallery,
-    pls_example,
-    verify_gallery,
 )
 from .linalg import (
     DimensionMismatch,
@@ -50,22 +46,28 @@ from .monoid import (
     normalize_atoms,
     validate_presentation,
 )
-from .semiring import (
-    AlgebraWitness,
-    InvalidPair,
-    NumericalMonoid,
-    SemiringPolynomial,
-    algebra_witness,
-    binomial_irreducibility_check,
-    case1_relation,
-    is_additive_atom,
-    monoid_elements_up_to,
-    natural_atom_test,
-    poly_divide_exact,
-    poly_mul,
-    poly_pow,
-    rank_one_membership,
-)
+
+# name -> the submodule that defines it, imported on first access (PEP 562).
+# classify stays eager: importing a submodule binds it as a package attribute,
+# which here would shadow the function of the same name.
+_LAZY = {name: "construct" for name in (
+    "Fixture", "InvalidMasterSpec", "MasterSpec", "build_master_monoid",
+    "fixture_gallery", "pls_example", "verify_gallery",
+)} | {name: "semiring" for name in (
+    "AlgebraWitness", "InvalidPair", "NumericalMonoid", "SemiringPolynomial",
+    "algebra_witness", "binomial_irreducibility_check", "case1_relation",
+    "is_additive_atom", "monoid_elements_up_to", "natural_atom_test",
+    "poly_divide_exact", "poly_mul", "poly_pow", "rank_one_membership",
+)}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups no longer reach this function
+    return value
+
 
 __all__ = [
     "AlgebraWitness",

@@ -24,8 +24,9 @@ import os
 import sys
 from typing import Optional
 
+# construct and semiring are imported in the handlers that use them, so the
+# other subcommands start without compiling either layer
 from .classify import classify, relation_evidence
-from .construct import MasterSpec, build_master_monoid, fixture_gallery, pls_example, verify_gallery
 from .monoid import (
     BudgetExceeded,
     MonoidPresentation,
@@ -33,12 +34,6 @@ from .monoid import (
     normalize_atoms,
 )
 from .linalg import format_rational, parse_rational
-from .semiring import (
-    SemiringPolynomial,
-    algebra_witness,
-    case1_relation,
-    natural_atom_test,
-)
 
 TRUNCATION_ENV = "FACTOLAB_TRUNCATION_K"
 
@@ -96,10 +91,14 @@ def _emit_classified(presentation: MonoidPresentation) -> int:
 
 
 def _cmd_construct_master(args) -> int:
+    from .construct import MasterSpec, build_master_monoid
+
     return _emit_classified(build_master_monoid(MasterSpec(tuple(args.long), tuple(args.short))))
 
 
 def _cmd_pls_example(args) -> int:
+    from .construct import pls_example
+
     return _emit_classified(pls_example(args.purely_long, args.purely_short))
 
 
@@ -118,6 +117,8 @@ def _resolve_truncation(flag: Optional[int]) -> int:
 
 
 def _cmd_gallery(args) -> int:
+    from .construct import fixture_gallery, verify_gallery
+
     truncation = _resolve_truncation(args.k)
     gallery = fixture_gallery(truncation=truncation)
     mismatches = verify_gallery(gallery)
@@ -139,6 +140,8 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_semiring_atom(args) -> int:
+    from .semiring import SemiringPolynomial, natural_atom_test
+
     poly = SemiringPolynomial.from_json_dict(_read_json(args.polynomial))
     is_atom, witness = natural_atom_test(poly)
     _emit(
@@ -158,6 +161,8 @@ def _cmd_semiring_atom(args) -> int:
 
 
 def _cmd_algebra_witness(args) -> int:
+    from .semiring import algebra_witness
+
     witness = algebra_witness(args.a, args.b)
     factor_list = lambda z: [
         {"factor": poly.to_json_dict(), "multiplicity": mult} for poly, mult in z
@@ -184,6 +189,8 @@ def _cmd_algebra_witness(args) -> int:
 
 
 def _cmd_case1(args) -> int:
+    from .semiring import case1_relation
+
     presentation = _load_presentation(args.presentation, normalize=False)
     relation = case1_relation(presentation, args.i, args.j)
     payload = relation.to_json_dict()

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .classify import AtomLabel, ClassificationReport, classify
+from .classify import ClassificationReport, classify
 from .monoid import MonoidPresentation
 
 __all__ = [

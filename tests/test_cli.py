@@ -391,7 +391,7 @@ def test_gallery_rejects_tiny_k():
 
 
 def test_gallery_mismatch_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_gallery", lambda gallery: ["boom"])
+    monkeypatch.setattr("factolab.construct.verify_gallery", lambda gallery: ["boom"])
     code, out = run_inproc("gallery", capsys=capsys)
     assert code == 2
     assert json.loads(out)["mismatches"] == ["boom"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import re
@@ -12,7 +11,6 @@ import pytest
 
 from factolab import monoid
 from factolab.classify import relation_evidence
-from factolab.linalg import dot
 from factolab.monoid import (
     BudgetExceeded,
     DuplicateGenerator,

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "factolab"
 
@@ -19,3 +25,78 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py is skipped: its imports are the package's re-exports
+    modules = [p for p in sorted(PACKAGE.rglob("*.py")) if p.name != "__init__.py"]
+    modules += sorted(Path(__file__).resolve().parent.glob("*.py"))
+    assert len(modules) > 10
+    assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def _fresh(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter; the factolab submodules it loaded."""
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('factolab.')), file=sys.stderr)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stderr.splitlines()[-1].split()
+
+
+def test_import_loads_neither_construct_nor_semiring():
+    loaded = _fresh("import factolab")
+    assert "factolab.classify" in loaded
+    assert "factolab.construct" not in loaded and "factolab.semiring" not in loaded
+
+
+def test_lazy_names_resolve():
+    loaded = _fresh(
+        "import factolab\n"
+        "namespace = {}\n"
+        "exec('from factolab import *', namespace)\n"
+        "assert sorted(set(namespace) - {'__builtins__'}) == sorted(factolab.__all__)\n"
+        "assert all(namespace[name] is getattr(factolab, name) for name in factolab.__all__)\n"
+        "from factolab.semiring import natural_atom_test\n"
+        "assert factolab.natural_atom_test is natural_atom_test\n"
+        "assert callable(factolab.classify) and factolab.classify.__module__ == 'factolab.classify'\n"
+        "assert not hasattr(factolab, 'no_such_name')\n"
+    )
+    assert "factolab.construct" in loaded and "factolab.semiring" in loaded
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["analyze", "{p}"], {"construct", "semiring"}),
+    (["factorize", "{p}", "--element", "12"], {"construct", "semiring"}),
+    (["evidence", "{p}", "--bound", "6"], {"construct", "semiring"}),
+    (["gallery", "--k", "3"], {"semiring"}),
+    (["construct-master", "--long", "3", "--short", "2"], {"semiring"}),
+    (["pls-example", "1", "1"], {"semiring"}),
+    (["semiring-atom", "{poly}"], {"construct"}),
+    (["algebra-witness", "2", "3"], {"construct"}),
+    (["case1", "{p}", "0", "1"], {"construct"}),
+])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, absent):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"dim": 1, "generators": [["2"], ["3"]]}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"coeff_domain": "N", "monoid": "N0", "terms": [["0", "2"], ["1", "2"], ["2", "1"]]}))
+    argv = [arg.format(p=p, poly=poly) for arg in argv]
+    loaded = _fresh(f"import factolab.cli\nassert factolab.cli.main({argv!r}) == 0")
+    assert "factolab.cli" in loaded
+    assert {f"factolab.{layer}" for layer in absent}.isdisjoint(loaded)

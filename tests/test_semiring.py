@@ -11,8 +11,6 @@ import pytest
 
 from factolab.monoid import BudgetExceeded, MonoidPresentation
 from factolab.semiring import (
-    AlgebraWitness,
-    InternalContradiction,
     InvalidPair,
     NumericalMonoid,
     SemiringPolynomial,
