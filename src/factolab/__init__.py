@@ -24,7 +24,6 @@ from .linalg import (
     InternalContradiction,
     LatticeBasis,
     format_rational,
-    homogeneous_lp_feasible,
     homogeneous_lp_witness,
     integer_kernel,
     parse_rational,
@@ -102,7 +101,6 @@ __all__ = [
     "enumerate_factorizations",
     "fixture_gallery",
     "format_rational",
-    "homogeneous_lp_feasible",
     "homogeneous_lp_witness",
     "integer_kernel",
     "is_additive_atom",

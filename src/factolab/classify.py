@@ -18,9 +18,10 @@ The lattice basis is saturated, so rational feasibility scales back to
 lattice points and the two directions match exactly.  In rank one, with L
 spanned by the primitive b, atom i is purely long iff sigma(b) b_i > 0 and
 purely short iff sigma(b) b_i < 0, sign(b_i) b witnessing against the other;
-higher ranks solve each system by Fourier-Motzkin elimination.  Verdicts are
-decided by these exact criteria only; bounded searches appear solely in the
-independent oracle ``relation_evidence``.
+higher ranks solve each system as two integer rows by
+:func:`~factolab.linalg.span_witness`, over the one integer Fourier-Motzkin core.
+Verdicts are decided by these exact criteria only; bounded searches appear
+solely in the independent oracle ``relation_evidence``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 from math import floor, gcd
 from typing import Optional
 
-from .linalg import InternalContradiction, LatticeBasis, homogeneous_lp_witness, parse_rational
+from .linalg import InternalContradiction, LatticeBasis, parse_rational, span_witness
 from .monoid import (
     FactorizationVector,
     MonoidPresentation,
@@ -182,6 +183,16 @@ def _rank_one_refutations(b: tuple[int, ...], i: int) -> tuple[Optional[tuple[in
     return (w if sum(w) <= 0 else None), (w if sum(w) >= 0 else None)
 
 
+def _purity_refutation(vectors, sigmas: list[int], i: int, sign: int) -> Optional[tuple[int, ...]]:
+    """The LP witness against atom i being purely long (sign 1) or purely short
+    (sign -1) in rank >= 2: over z = sum t_j b_j, z_i >= 1 and sign sigma(z) <= 0
+    are the integer rows (b_1i, ..., b_ri | 1) and (-sign sigma(b_1), ... | 0)."""
+    w = span_witness(((*[v[i] for v in vectors], 1), (*[-sign * s for s in sigmas], 0)), vectors)
+    if w is not None and (w[i] < 1 or sign * sum(w) > 0):
+        raise InternalContradiction(f"purity witness {w} for atom {i} violates the system it solves")
+    return w
+
+
 def classify(presentation: MonoidPresentation) -> ClassificationReport:
     """Full exact classification of a validated, atoms-only presentation."""
     ensure_normalized(presentation)
@@ -195,8 +206,6 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
     is_hfm = all(s == 0 for s in sigmas)
     is_lfm = rank == 0 or (rank == 1 and sigmas[0] != 0)
 
-    sigma = (1,) * k
-    neg_sigma = (-1,) * k
     labels: list[AtomLabel] = []
     witnesses: dict[str, tuple[int, ...]] = {}
     for i in range(k):
@@ -206,9 +215,8 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
         if rank == 1:
             long_refutation, short_refutation = _rank_one_refutations(basis.vectors[0], i)
         else:
-            unit = tuple(int(j == i) for j in range(k))
-            long_refutation = homogeneous_lp_witness(basis, unit, [sigma])
-            short_refutation = homogeneous_lp_witness(basis, unit, [neg_sigma])
+            long_refutation = _purity_refutation(basis.vectors, sigmas, i, 1)
+            short_refutation = _purity_refutation(basis.vectors, sigmas, i, -1)
         if long_refutation is not None:
             witnesses[f"atom{i}_not_purely_long"] = long_refutation
         if short_refutation is not None:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from . import linalg
 from .classify import ClassificationReport, classify
 from .monoid import MonoidPresentation
 
@@ -143,7 +144,8 @@ def pls_example(purely_long: int, purely_short: int) -> MonoidPresentation:
     sum sigma(w) = sum(a) - sum(b) is positive.  By the rank-one rule of
     :mod:`factolab.classify` (atom i is purely long iff sigma(w) w_i > 0 and
     purely short iff sigma(w) w_i < 0), each long atom is purely long and
-    each short atom purely short.
+    each short atom purely short.  Each candidate and output coordinate is a
+    step; more than ``linalg.MAX_STEPS`` steps raise BudgetExceeded.
     """
     if purely_long < 1 or purely_short < 1:
         raise ValueError(
@@ -151,10 +153,17 @@ def pls_example(purely_long: int, purely_short: int) -> MonoidPresentation:
             "relation has at least one atom of each kind"
         )
     # specs of maximum below the cap failed under a smaller cap, so revisiting
-    # them keeps the order
+    # them keeps the order; the output has (L + S - 1)^2 coordinates
+    max_steps, steps = linalg.MAX_STEPS, (purely_long + purely_short - 1) ** 2
     for cap in itertools.count(2):
         for a in itertools.product(range(1, cap + 1), repeat=purely_long):
+            if steps > max_steps:
+                raise linalg.BudgetExceeded(f"pls_example exceeded its budget of {max_steps} steps")
+            steps += 1
+            if sum(a) <= purely_short:  # every b sums to at least purely_short
+                continue
             for b in itertools.product(range(1, cap + 1), repeat=purely_short):
+                steps += 1
                 try:
                     return build_master_monoid(MasterSpec(a, b))
                 except InvalidMasterSpec:

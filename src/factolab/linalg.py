@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 IntVector = tuple[int, ...]
@@ -243,42 +243,41 @@ def _add_primitive(kept: list[IntVector], seen: set[IntVector], rows) -> bool:
     return True
 
 
-def solve_inequalities(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
-    """Exact solution of the system coeffs . t >= rhs, or None if infeasible.
+def fourier_motzkin(rows: Iterable[Sequence[int]], nvars: int) -> Optional[tuple[list[int], int]]:
+    """A point nums / den, den > 0, of the integer system row[:-1] . t >= row[-1],
+    or None if it is infeasible: the package's one Fourier-Motzkin elimination.
 
-    Each constraint is held as one primitive integer row, its coefficients
-    followed by its right-hand side: a positive multiple of a constraint is
-    the same constraint, so that row both finds duplicates and keeps the
+    Each row is kept primitive: a positive multiple of a constraint is the
+    same constraint, so that row both finds duplicates and keeps the
     elimination in integers.  Variables are eliminated last first; each lower
-    x upper pair is a step, and more than :data:`MAX_STEPS` steps
-    raise BudgetExceeded.  Back-substitution runs on integer numerators over
-    one common denominator, and only the returned point is rational.
+    x upper pair is a step, and more than :data:`MAX_STEPS` steps raise
+    BudgetExceeded.  Back-substitution runs on integer numerators over den.
     """
-    if any(len(coeffs) != nvars for coeffs, _ in constraints):
-        raise DimensionMismatch("constraint arity does not match variable count")
     max_steps, steps = MAX_STEPS, 0
-    rows: list[IntVector] = []
-    if not _add_primitive(rows, set(), (_integer_multiple((*c, rhs))[0] for c, rhs in constraints)):
+    kept: list[IntVector] = []
+    if not _add_primitive(kept, set(), rows):
         return None
-    levels = []
+    rows, levels = kept, []
     for j in range(nvars - 1, -1, -1):  # every row is zero past column j
+        if not rows:
+            break
         lowers = [row for row in rows if row[j] > 0]
         uppers = [row for row in rows if row[j] < 0]
         levels.append((lowers, uppers))
-        if lowers or uppers:
+        rows = [row for row in rows if not row[j]]
+        if lowers and uppers:
             steps += len(lowers) * len(uppers)
             if steps > max_steps:
                 raise BudgetExceeded(f"Fourier-Motzkin elimination exceeded its budget of {max_steps} steps")
             # (rl - hl.t)/al <= t_j <= (ru - hu.t)/au with al > 0 > au; clearing
             # denominators (and one sign flip) cancels t_j:
             pairs = (tuple(low[j] * cu - up[j] * cl for cl, cu in zip(low, up)) for low in lowers for up in uppers)
-            rows = [row for row in rows if not row[j]]
             if not _add_primitive(rows, set(rows), pairs):
                 return None
 
     # t = nums / den, so the bound (r - h.t)/a of a row is (r den - h.nums) / (a den);
     # t_j is the largest lower bound, else the least upper bound, else 0.
-    nums, den = [], 1
+    nums, den = [0] * (nvars - len(levels)), 1  # no row bounds the variables left
     for lowers, uppers in reversed(levels):
         j, sign, best = len(nums), (1 if lowers else -1), None  # (p, q): the bound p / (q den), q > 0
         for row in lowers or uppers:
@@ -286,8 +285,32 @@ def solve_inequalities(constraints: Sequence[Constraint], nvars: int) -> Optiona
             if best is None or sign * (p * best[1] - best[0] * q) > 0:
                 best = p, q
         p, q = best or (0, 1)
-        nums, den = [x * q for x in nums] + [p], den * q
-    return [Fraction(x, den) for x in nums]
+        if q != 1:
+            nums, den = [x * q for x in nums], den * q
+        nums.append(p)
+    return nums, den
+
+
+def span_witness(rows: Iterable[Sequence[int]], vectors: Sequence[IntVector]) -> Optional[IntVector]:
+    """The least positive integer multiple of sum_j t_j vectors_j for the point
+    t = nums / den that :func:`fourier_motzkin` finds for ``rows``, or None: with
+    Z = sum_j nums_j vectors_j it is Z / gcd(den, Z), as Z / g and den / g are coprime."""
+    solved = fourier_motzkin(rows, len(vectors))
+    if solved is None:
+        return None
+    nums, den = solved
+    z = [sum(map(mul, nums, column)) for column in zip(*vectors)]
+    g = math.gcd(den, *z)
+    return tuple(x // g for x in z)
+
+
+def solve_inequalities(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
+    """Exact solution of the system coeffs . t >= rhs, or None if infeasible,
+    by :func:`fourier_motzkin` on each constraint scaled to integers."""
+    if any(len(coeffs) != nvars for coeffs, _ in constraints):
+        raise DimensionMismatch("constraint arity does not match variable count")
+    solved = fourier_motzkin((_integer_multiple((*c, rhs))[0] for c, rhs in constraints), nvars)
+    return None if solved is None else [Fraction(x, solved[1]) for x in solved[0]]
 
 
 def homogeneous_lp_witness(
@@ -312,34 +335,12 @@ def homogeneous_lp_witness(
     strict_z, den = _integer_multiple(strict)
     nonstrict_z = [_integer_multiple(n)[0] for n in nonstrict]
 
-    rows: list[Constraint] = [(tuple(sum(map(mul, strict_z, b)) for b in basis.vectors), den)]
-    for n in nonstrict_z:
-        rows.append((tuple(-sum(map(mul, n, b)) for b in basis.vectors), 0))
-    t = solve_inequalities(rows, basis.rank)
-    if t is None:
-        return None
-
-    # The witness is z = sum t_j b_j times the least common denominator of its
-    # entries.  With L the common denominator of t, that is L z / gcd(L, L z).
-    scale = math.lcm(*(q.denominator for q in t))
-    z = [0] * k
-    for q, vec in zip(t, basis.vectors):
-        if q:
-            c = q.numerator * (scale // q.denominator)
-            z = [x + c * v for x, v in zip(z, vec)]
-    g = math.gcd(scale, *z)
-    witness = tuple(x // g for x in z)
+    rows = [(*(sum(map(mul, strict_z, b)) for b in basis.vectors), den)]
+    rows += [(*(-sum(map(mul, n, b)) for b in basis.vectors), 0) for n in nonstrict_z]
+    witness = span_witness(rows, basis.vectors)
     # A multiple >= 1 of a solution still solves the system (strict stays >= 1).
-    strict_value = sum(map(mul, strict_z, witness))
-    if strict_value < den or any(sum(map(mul, n, witness)) > 0 for n in nonstrict_z):
+    if witness is not None and (
+        sum(map(mul, strict_z, witness)) < den or any(sum(map(mul, n, witness)) > 0 for n in nonstrict_z)
+    ):
         raise InternalContradiction(f"LP witness {witness} violates the system it solves")
     return witness
-
-
-def homogeneous_lp_feasible(
-    basis: LatticeBasis,
-    strict: Sequence[Rational],
-    nonstrict: Sequence[Sequence[Rational]] = (),
-) -> bool:
-    """Whether some z in the span of ``basis`` has strict.z >= 1 and n.z <= 0."""
-    return homogeneous_lp_witness(basis, strict, nonstrict) is not None

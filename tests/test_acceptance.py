@@ -415,12 +415,8 @@ def _rank_one_chain(report, z0: tuple[int, ...]) -> list[tuple[int, ...]]:
     v = report.kernel_basis[0]
     if sum(v) < 0:
         v = tuple(-c for c in v)
-    t_lo = max(
-        math.ceil(Fraction(-z, c)) for z, c in zip(z0, v) if c > 0
-    )
-    t_hi = min(
-        math.floor(Fraction(z, -c)) for z, c in zip(z0, v) if c < 0
-    )
+    t_lo = max(-(z // c) for z, c in zip(z0, v) if c > 0)  # ceil(-z / c)
+    t_hi = min(z // -c for z, c in zip(z0, v) if c < 0)  # floor(z / -c)
     chain = []
     for t in range(t_lo, t_hi + 1):
         z = tuple(a + t * c for a, c in zip(z0, v))
@@ -442,7 +438,8 @@ def _divisor_property_on_chain(chain) -> None:
 
 
 def _instance_elements(presentation, spec, headroom: int):
-    """{x: seed factorization} for x = master element + small y."""
+    """({key: seed factorization}, element) for x = master element + small y:
+    each key is x's integer form, and element(key) is x itself."""
     h = ensure_normalized(presentation)
     k = presentation.atom_count
     m = len(spec.long_side)
@@ -451,7 +448,7 @@ def _instance_elements(presentation, spec, headroom: int):
     gens = presentation.generators
     grades = [h.grade(g) for g in gens]
     # walk in integers: coordinates times one common denominator, grades
-    # times theirs; the Fraction keys are built once, at the end
+    # times theirs; element() builds the Fraction form only where it is read
     scale = math.lcm(*(c.denominator for g in gens for c in g))
     columns = [[int(c * scale) for c in g] for g in gens]
     grade_scale = math.lcm(*(q.denominator for q in grades))
@@ -477,10 +474,7 @@ def _instance_elements(presentation, spec, headroom: int):
         acc[idx] = 0
 
     walk(0, headroom * grade_scale, [0] * presentation.ambient_dim)
-    return {
-        tuple(m + Fraction(v, scale) for m, v in zip(mstar, x)): z
-        for x, z in seeds.items()
-    }
+    return seeds, lambda x: tuple(m + Fraction(v, scale) for m, v in zip(mstar, x))
 
 
 def _check_lfm_divisor_property_via_library(presentation, x, chain) -> None:
@@ -541,13 +535,13 @@ def _lfm_divisor_suite() -> str:
             headroom, cross = (2, True) if k4_count % 10 == 1 else (4, False)
         else:
             headroom, cross = 4, False
-        seeds = _instance_elements(presentation, spec, headroom)
+        seeds, element = _instance_elements(presentation, spec, headroom)
         for x, z0 in seeds.items():
             chain = _rank_one_chain(report, z0)
             _divisor_property_on_chain(chain)
             checked += 1
             if cross:
-                _check_lfm_divisor_property_via_library(presentation, x, chain)
+                _check_lfm_divisor_property_via_library(presentation, element(x), chain)
                 cross_checked += 1
     return (
         f"divisor property: {anchored} anchor elements to grade 25, "

@@ -11,6 +11,7 @@ import pytest
 from factolab.classify import (
     AtomLabel,
     FactorizationRelation,
+    _purity_refutation,
     _rank_one_refutations,
     classify,
     relation_evidence,
@@ -20,7 +21,6 @@ from factolab.linalg import (
     IntMatrix,
     InternalContradiction,
     LatticeBasis,
-    homogeneous_lp_feasible,
     homogeneous_lp_witness,
     integer_kernel,
 )
@@ -297,6 +297,32 @@ def test_rank_one_reading_matches_the_lp():
     assert balanced >= 80 and mixed >= 200
 
 
+def test_purity_refutation_matches_the_lp():
+    # kernels of rank 2..12; the last matrix row is sigma - c e_j, so that
+    # sigma(z) = c z_j on the kernel and atom j is pure on one side
+    rng = random.Random(16)
+    ranks, cases, infeasible = set(), 0, 0
+    for _ in range(120):
+        rank, d = rng.randint(2, 12), rng.randint(1, 3)
+        k = rank + d
+        rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(d - 1)]
+        rows.append([1] * k)
+        rows[-1][rng.randrange(k)] -= rng.choice((-3, -2, -1, 1, 2, 3))
+        basis = integer_kernel(IntMatrix.from_rows(rows))
+        sigmas = [sum(v) for v in basis.vectors]
+        ranks.add(basis.rank)
+        for i in range(k):
+            if not any(v[i] for v in basis.vectors):
+                continue
+            unit = tuple(int(j == i) for j in range(k))
+            for sign in (1, -1):
+                expected = homogeneous_lp_witness(basis, unit, [(sign,) * k])
+                assert _purity_refutation(basis.vectors, sigmas, i, sign) == expected, (basis, i, sign)
+                cases += 1
+                infeasible += expected is None
+    assert ranks == set(range(2, 13)) and (cases, infeasible) == (2220, 123)
+
+
 def labels_consistent_with_evidence(p, bound):
     report = classify(p)
     for rel in relation_evidence(p, bound):
@@ -349,8 +375,8 @@ def label_from_lp(basis, index, sigma):
     neg = tuple(-s for s in sigma)
     if all(b[index] == 0 for b in basis.vectors):
         return AtomLabel.PRIME
-    blocks_long = not homogeneous_lp_feasible(basis, unit, [sigma])
-    blocks_short = not homogeneous_lp_feasible(basis, unit, [neg])
+    blocks_long = homogeneous_lp_witness(basis, unit, [sigma]) is None
+    blocks_short = homogeneous_lp_witness(basis, unit, [neg]) is None
     assert not (blocks_long and blocks_short)
     if blocks_long:
         return AtomLabel.PURELY_LONG
@@ -424,9 +450,18 @@ def test_classify_certificate_checks_raise(monkeypatch):
     monkeypatch.setattr(module, "_balanced_kernel_vector", lambda basis: (1, 0, 0))
     with pytest.raises(InternalContradiction, match="no balanced relation"):
         classify(p345)
-    monkeypatch.setattr(module, "homogeneous_lp_witness", lambda *args: None)
+    monkeypatch.setattr(module, "_purity_refutation", lambda *args: None)
     with pytest.raises(InternalContradiction, match="refutes both purity systems"):
         classify(p345)
+
+
+@pytest.mark.parametrize("nums", [[0, 0], [1, 0]])
+def test_purity_certificate_check_raises_on_a_bad_point(monkeypatch, nums):
+    # the kernel of (3, 4, 5) is spanned by (4, -3, 0) and (1, -2, 1): the point
+    # 0 misses z_0 >= 1, and (4, -3, 0) breaks sigma(z) <= 0 for atom 0 long
+    monkeypatch.setattr("factolab.linalg.fourier_motzkin", lambda rows, nvars: (nums, 1))
+    with pytest.raises(InternalContradiction, match="violates the system it solves"):
+        classify(numerical(3, 4, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,18 @@ def test_pls_example_rejects_zero():
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize("counts, code", [
+    (("1", "200"), 0), (("60", "60"), 0), (("10000", "1"), 3), (("30", "60"), 3),
+])
+def test_pls_example_with_large_counts_ends_fast(counts, code):
+    # no a with sum(a) <= S admits a b, but each such a is a step: 30 60 walks
+    # 2^30 of them at cap 2; 10000 1 has 10^8 output coordinates, also steps
+    result = run_cli("pls-example", *counts, timeout=10)
+    assert result.returncode == code, result.stderr
+    if code == 3:
+        assert result.stderr.splitlines() == ["error: pls_example exceeded its budget of 1000000 steps"]
+
+
 # ---------------------------------------------------------------------------
 # gallery
 # ---------------------------------------------------------------------------

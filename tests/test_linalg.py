@@ -19,7 +19,6 @@ from factolab.linalg import (
     LatticeBasis,
     dot,
     format_rational,
-    homogeneous_lp_feasible,
     homogeneous_lp_witness,
     integer_kernel,
     parse_rational,
@@ -150,14 +149,14 @@ def test_kernel_unimodular_invariance():
 def test_lp_documented_rank_one_cases():
     basis = LatticeBasis(2, ((3, -2),))
     # first coordinate >= 1 while the coordinate sum stays <= 0: impossible
-    assert homogeneous_lp_feasible(basis, (1, 0), [(1, 1)]) is False
+    assert homogeneous_lp_witness(basis, (1, 0), [(1, 1)]) is None
     # second coordinate >= 1 with no side conditions: take t negative
-    assert homogeneous_lp_feasible(basis, (0, 1), []) is True
+    assert homogeneous_lp_witness(basis, (0, 1), []) is not None
 
 
 def test_lp_empty_basis_is_infeasible():
     basis = LatticeBasis(2, ())
-    assert homogeneous_lp_feasible(basis, (1, 0), []) is False
+    assert homogeneous_lp_witness(basis, (1, 0), []) is None
 
 
 def test_lp_witness_is_integral_and_satisfies_constraints():
@@ -174,7 +173,7 @@ def test_lp_witness_is_integral_and_satisfies_constraints():
 def test_lp_witness_check_raises_on_a_bad_point(monkeypatch, t):
     # t = 0 gives z = 0, which misses strict >= 1; t = 1 gives z = (3, -2),
     # whose coordinate sum 1 breaks the nonstrict sum <= 0.
-    monkeypatch.setattr(linalg, "solve_inequalities", lambda rows, nvars: [t])
+    monkeypatch.setattr(linalg, "fourier_motzkin", lambda rows, nvars: ([t.numerator], t.denominator))
     with pytest.raises(InternalContradiction):
         homogeneous_lp_witness(LatticeBasis(2, ((3, -2),)), (1, 0), [(1, 1)])
 
@@ -182,7 +181,7 @@ def test_lp_witness_check_raises_on_a_bad_point(monkeypatch, t):
 def test_certificate_check_survives_optimize_flag():
     code = (
         "import factolab.linalg as L\n"
-        "L.solve_inequalities = lambda rows, nvars: [0]\n"
+        "L.fourier_motzkin = lambda rows, nvars: ([0], 1)\n"
         "try:\n"
         "    L.homogeneous_lp_witness(L.LatticeBasis(2, ((3, -2),)), (1, 0), [(1, 1)])\n"
         "except L.InternalContradiction:\n"
@@ -222,7 +221,7 @@ def test_lp_agrees_with_rank_one_oracle():
         strict = tuple(rng.randint(-3, 3) for _ in range(k))
         nonstrict = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(rng.randint(0, 2))]
         expected = rank_one_oracle(vector, strict, nonstrict)
-        assert homogeneous_lp_feasible(basis, strict, nonstrict) is expected
+        assert (homogeneous_lp_witness(basis, strict, nonstrict) is not None) is expected
 
 
 def test_lp_verdicts_match_box_search_on_random_lattices():
@@ -263,15 +262,15 @@ def test_lp_unimodular_invariance_of_feasibility():
         other = LatticeBasis(4, mixed)
         strict = tuple(rng.randint(-3, 3) for _ in range(4))
         nonstrict = [tuple(rng.randint(-3, 3) for _ in range(4))]
-        assert homogeneous_lp_feasible(basis, strict, nonstrict) == homogeneous_lp_feasible(
-            other, strict, nonstrict
+        assert (homogeneous_lp_witness(basis, strict, nonstrict) is None) == (
+            homogeneous_lp_witness(other, strict, nonstrict) is None
         )
 
 
 def test_lp_dimension_mismatch():
     basis = LatticeBasis(2, ((3, -2),))
     with pytest.raises(DimensionMismatch):
-        homogeneous_lp_feasible(basis, (1, 0, 0), [])
+        homogeneous_lp_witness(basis, (1, 0, 0), [])
 
 
 def test_solve_inequalities_back_substitution():
