@@ -20,7 +20,6 @@ from .classify import (
 )
 from .linalg import (
     DimensionMismatch,
-    IntMatrix,
     InternalContradiction,
     LatticeBasis,
     format_rational,
@@ -78,7 +77,6 @@ __all__ = [
     "FactorizationRelation",
     "Fixture",
     "Grading",
-    "IntMatrix",
     "InternalContradiction",
     "InvalidGenerator",
     "InvalidMasterSpec",

@@ -155,6 +155,8 @@ def pls_example(purely_long: int, purely_short: int) -> MonoidPresentation:
     # specs of maximum below the cap failed under a smaller cap, so revisiting
     # them keeps the order; the output has (L + S - 1)^2 coordinates
     max_steps, steps = linalg.MAX_STEPS, (purely_long + purely_short - 1) ** 2
+    if steps > max_steps:  # checked before product() allocates its purely_long pools
+        raise linalg.BudgetExceeded(f"pls_example exceeded its budget of {max_steps} steps")
     for cap in itertools.count(2):
         for a in itertools.product(range(1, cap + 1), repeat=purely_long):
             if steps > max_steps:

@@ -98,47 +98,6 @@ def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Fraction:
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Dense arbitrary-precision integer matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: IntVector
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[int] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows in matrix literal")
-            flat.extend(int(x) for x in row)
-        return cls(nrows, ncols, tuple(flat))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def column(self, j: int) -> IntVector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def apply(self, z: Sequence[int]) -> IntVector:
-        """Matrix-vector product A z."""
-        if len(z) != self.cols:
-            raise DimensionMismatch(f"vector of length {len(z)} against {self.cols} columns")
-        return tuple(sum(self.entry(i, j) * z[j] for j in range(self.cols)) for i in range(self.rows))
-
-
-@dataclass(frozen=True)
 class LatticeBasis:
     """Basis of a saturated sublattice of Z^dim.
 
@@ -168,17 +127,21 @@ def _sign_normalized(vector: Sequence[int]) -> IntVector:
     return tuple(vector)
 
 
-def integer_kernel(matrix: IntMatrix) -> LatticeBasis:
-    """Saturated basis of {z in Z^cols : matrix @ z = 0}.
+def integer_kernel(rows: Iterable[Sequence[int]]) -> LatticeBasis:
+    """Saturated basis of {z in Z^k : row . z = 0 for every row}, for the
+    integer rows of an m x k matrix A.
 
     Column reduction with an accumulated unimodular transform U: column
     operations bring A into column echelon form A U = H, and the columns of U
     across the zero columns of H are a kernel basis.  Because U is unimodular
-    those columns extend to a Z-basis of Z^cols, which makes the kernel basis
+    those columns extend to a Z-basis of Z^k, which makes the kernel basis
     saturated for free.
     """
-    m, k = matrix.rows, matrix.cols
-    cols = [list(matrix.column(j)) for j in range(k)]
+    rows = list(rows)
+    m, k = len(rows), len(rows[0]) if rows else 0
+    if any(len(row) != k for row in rows):
+        raise DimensionMismatch(f"matrix rows of unequal lengths {sorted({len(row) for row in rows})}")
+    cols = [list(column) for column in zip(*rows)]
     trans = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
 
     def combine(j: int, j0: int, q: int) -> None:

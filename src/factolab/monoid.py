@@ -20,7 +20,6 @@ from . import linalg
 from .linalg import (
     BudgetExceeded,
     DimensionMismatch,
-    IntMatrix,
     IntVector,
     InternalContradiction,
     LatticeBasis,
@@ -50,26 +49,24 @@ class NotPointed(ValueError):
         )
 
 
-class NotAnAtom(ValueError):
+class NotNormalized(ValueError):
+    """The operation requires a duplicate-free, atoms-only presentation."""
+
+
+class NotAnAtom(NotNormalized):
     """A generator factors into others; carries the index and a witness."""
 
     def __init__(self, index: int, witness: FactorizationVector):
         self.index = index
         self.witness = witness
-        super().__init__(
-            f"generator {index} is not an atom: it factors as {witness}"
-        )
+        super().__init__(f"generator {index} is not an atom (witness {witness}); normalize first")
 
 
-class DuplicateGenerator(ValueError):
+class DuplicateGenerator(NotNormalized):
     def __init__(self, index: int, original: int):
         self.index = index
         self.original = original
-        super().__init__(f"generator {index} duplicates generator {original}")
-
-
-class NotNormalized(ValueError):
-    """The operation requires a duplicate-free, atoms-only presentation."""
+        super().__init__(f"generator {index} duplicates generator {original}; normalize first")
 
 
 def as_element(values: Iterable) -> QVector:
@@ -269,7 +266,7 @@ class IntegerForm:
 
     @cached_property
     def kernel(self) -> LatticeBasis:
-        return integer_kernel(IntMatrix.from_rows(tuple(zip(*self.columns))))
+        return integer_kernel(zip(*self.columns))
 
     @cached_property
     def reduction(self) -> Reduction:
@@ -515,44 +512,27 @@ def _duplicates(form: IntegerForm) -> dict[int, int]:
     }
 
 
-def normalize_atoms(presentation: MonoidPresentation, mode: str = "auto-reduce") -> MonoidPresentation:
-    """Reduce the generator list to the atoms of the monoid.
-
-    ``auto-reduce`` drops duplicates and reducible generators (the monoid is
-    unchanged); ``reject`` raises DuplicateGenerator or NotAnAtom instead.
-    Atomicity of each generator is decided against the full monoid, so the
-    result is independent of the order in which defects are discovered.
-    """
-    if mode not in ("auto-reduce", "reject"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
+def normalize_atoms(presentation: MonoidPresentation) -> MonoidPresentation:
+    """Reduce the generator list to the atoms by dropping duplicates and
+    reducible generators, which leaves the monoid as it is.  Atomicity is
+    decided against the full monoid, so the result does not depend on the
+    order in which defects are found."""
     form = presentation.integer_form
-    duplicates = _duplicates(form)
-    if duplicates and mode == "reject":
-        raise DuplicateGenerator(*next(iter(duplicates.items())))
-    drop = set(duplicates)
-    for i, witness in enumerate(form.atom_defects):
-        if witness is not None and i not in drop:
-            if mode == "reject":
-                raise NotAnAtom(i, witness)
-            drop.add(i)
+    drop = set(_duplicates(form))
+    drop.update(i for i, witness in enumerate(form.atom_defects) if witness is not None)
     if not drop:
         return presentation
-    survivors = tuple(
-        g for i, g in enumerate(presentation.generators) if i not in drop
-    )
+    survivors = tuple(g for i, g in enumerate(presentation.generators) if i not in drop)
     return MonoidPresentation(presentation.ambient_dim, survivors, presentation.label)
 
 
 def ensure_normalized(presentation: MonoidPresentation) -> Grading:
-    """Validate and demand that the presentation lists exactly the atoms."""
+    """Validate and demand that the presentation lists exactly the atoms:
+    the first defect raises DuplicateGenerator or NotAnAtom."""
     form = presentation.integer_form
     for i, original in _duplicates(form).items():
-        raise NotNormalized(
-            f"generator {i} duplicates generator {original}; normalize first"
-        )
+        raise DuplicateGenerator(i, original)
     for i, witness in enumerate(form.atom_defects):
         if witness is not None:
-            raise NotNormalized(
-                f"generator {i} is not an atom (witness {witness}); normalize first"
-            )
+            raise NotAnAtom(i, witness)
     return form.grading

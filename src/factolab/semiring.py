@@ -370,13 +370,18 @@ def poly_mul(
 
 
 def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
+    """``f ** power`` by squaring.  A product of m and n terms is m n steps, and
+    steps past ``linalg.MAX_STEPS`` raise BudgetExceeded before they are made."""
     if power < 0:
         raise ValueError("negative powers are not defined in a semiring")
-    result = SemiringPolynomial._from_index_terms([(0, 1)], f.coeff_domain, f.exponent_monoid)
+    result, steps = SemiringPolynomial._from_index_terms([(0, 1)], f.coeff_domain, f.exponent_monoid), 0
     while power:
-        if power & 1:
+        odd, power, n = power & 1, power >> 1, len(f.index_terms)
+        steps += (len(result.index_terms) * n if odd else 0) + (n * n if power else 0)  # this round's products
+        if steps > linalg.MAX_STEPS:
+            raise BudgetExceeded(f"poly_pow exceeded its budget of {linalg.MAX_STEPS} steps")
+        if odd:
             result = poly_mul(result, f)
-        power >>= 1
         if power:
             f = poly_mul(f, f)
     return result

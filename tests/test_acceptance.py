@@ -39,7 +39,7 @@ from factolab import (
     poly_mul,
     relation_evidence,
 )
-from factolab.linalg import IntMatrix, dot
+from factolab.linalg import dot
 
 from helpers import brute_force_kernel_vectors, in_lattice
 
@@ -591,7 +591,7 @@ def _linalg_invariant_suite() -> str:
         d = rng.randint(1, 3)
         k = rng.randint(2, 5)
         rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(d)]
-        basis = integer_kernel(IntMatrix.from_rows(rows))
+        basis = integer_kernel(rows)
         for v in basis.vectors:
             assert all(
                 sum(r[i] * v[i] for i in range(k)) == 0 for r in rows

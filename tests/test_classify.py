@@ -18,7 +18,6 @@ from factolab.classify import (
 )
 from factolab.construct import fixture_gallery
 from factolab.linalg import (
-    IntMatrix,
     InternalContradiction,
     LatticeBasis,
     homogeneous_lp_witness,
@@ -280,8 +279,8 @@ def test_rank_one_reading_matches_the_lp():
             v[-1] = -sum(v[:-1])
         if not any(v):
             continue
-        complement = integer_kernel(IntMatrix.from_rows([v])).vectors
-        basis = integer_kernel(IntMatrix.from_rows(complement))
+        complement = integer_kernel([v]).vectors
+        basis = integer_kernel(complement)
         assert basis.rank == 1
         b = basis.vectors[0]
         balanced += sum(b) == 0
@@ -308,7 +307,7 @@ def test_purity_refutation_matches_the_lp():
         rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(d - 1)]
         rows.append([1] * k)
         rows[-1][rng.randrange(k)] -= rng.choice((-3, -2, -1, 1, 2, 3))
-        basis = integer_kernel(IntMatrix.from_rows(rows))
+        basis = integer_kernel(rows)
         sigmas = [sum(v) for v in basis.vectors]
         ranks.add(basis.rank)
         for i in range(k):
@@ -561,7 +560,7 @@ def test_lp_points_are_pinned():
     ]:
         grading = validate_presentation(MonoidPresentation.from_generators(gens))
         assert grading.weights == weights
-    basis = integer_kernel(IntMatrix.from_rows([[2, 3, -1, 4, 1]]))
+    basis = integer_kernel([[2, 3, -1, 4, 1]])
     strict = ("1/2", Fraction(-2, 3), 0, "5/4", 1)
     nonstrict = [(Fraction(1, 3), 1, "-1/2", 0, 0), (0, Fraction(3, 2), 1, -1, "2/5")]
     assert homogeneous_lp_witness(basis, strict, nonstrict) == (-39, 0, -26, -2, 60)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -321,6 +323,61 @@ def test_seeded_fuzz_ends_in_an_exit_code_not_a_traceback(tmp_path, monkeypatch,
     assert codes[0] >= 80 and codes[1] >= 200 and codes[3] >= 20, codes
 
 
+class FuzzTimeout(BaseException):
+    """Raised by the fuzz alarm.  Not an Exception: a TimeoutError is an
+    OSError, which ``cli.main`` would turn into exit 1."""
+
+
+def _raise_fuzz_timeout(signum, frame):
+    raise FuzzTimeout
+
+
+FUZZ_INTEGERS = (-1, 0, 1, 2, 3, 25, 200, 10**4, 10**12)
+
+
+def fuzz_argument_argv(rng):
+    """argv of one subcommand that takes only integer arguments."""
+    draw = lambda: str(rng.choice(FUZZ_INTEGERS))
+    command = rng.choice(("pls-example", "algebra-witness", "construct-master"))
+    if command == "construct-master":
+        return [command, "--long", *(draw() for _ in range(rng.randint(1, 3))),
+                "--short", *(draw() for _ in range(rng.randint(1, 3)))]
+    return [command, draw(), draw()]
+
+
+def test_seeded_fuzz_of_the_argument_only_subcommands(monkeypatch, capsys):
+    """pls-example, algebra-witness and construct-master on integers from
+    FUZZ_INTEGERS, in process under the lowered budget: every call returns 0
+    with one JSON document, or 1 or 3 with an ``error:`` line, before an
+    alarm of a few seconds.  gallery is left out: ``--k 10^12`` builds
+    2 * 10^12 generators before any budget is checked, and a budget shared by
+    the whole gallery is still to be written."""
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**4)
+    previous = signal.signal(signal.SIGALRM, _raise_fuzz_timeout)
+    rng = random.Random(1712)
+    codes = Counter()
+    try:
+        for _ in range(400):
+            argv = fuzz_argument_argv(rng)
+            signal.alarm(4)
+            try:
+                code = cli.main(argv)
+            except FuzzTimeout:
+                pytest.fail(f"{argv} ran past its alarm")
+            finally:
+                signal.alarm(0)
+            out, err = capsys.readouterr()
+            codes[code] += 1
+            if code == 0:
+                json.loads(out)
+            else:
+                assert code in (1, 3), argv
+                assert out == "" and err.startswith("error: "), argv
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert codes[0] >= 40 and codes[1] >= 200 and codes[3] >= 50, codes
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -357,6 +414,7 @@ def test_pls_example_rejects_zero():
 
 @pytest.mark.parametrize("counts, code", [
     (("1", "200"), 0), (("60", "60"), 0), (("10000", "1"), 3), (("30", "60"), 3),
+    (("1000000000000", "1"), 3),
 ])
 def test_pls_example_with_large_counts_ends_fast(counts, code):
     # no a with sum(a) <= S admits a b, but each such a is a step: 30 60 walks
@@ -519,6 +577,31 @@ def test_algebra_witness_of_a_huge_pair_exits_3():
     assert result.stderr.splitlines() == [
         "error: smallest generator 1000000007 exceeds the budget of 1000000 steps"
     ]
+
+
+# sha256 of the stdout of algebra-witness a b, for pairs under the budget
+ALGEBRA_WITNESS_DIGESTS = {
+    (2, 3): "3f13829fc040bdff84e1e8c40d0dcc0a92d245b6c9fb9fc023bdf9d94e19b365",
+    (5, 7): "2000002f8567f7d6ca08ea618311d1708a5bee4cbc2dc085c9acc7d8d2f5304e",
+    (9, 13): "be737738bb4b4d6ba2a4d640a1edbea00c5be71f85335bbf44207dcca9c1ca9d",
+    (2, 1001): "559c286f64a0f996226b863c77b9a449a387fc2324b7bc2b2276f38234784d0d",
+    (3, 1000): "47967fc0685caf3b6890e7766cefb7100107ee62d29a21f3e06b4ffdcd25a8cd",
+    (2, 1401): "af11a4e88b9afa5ef6f953bd541ec143b945cddba5c468092edb3ab6030ba9d4",
+    (1000, 2001): "6caaa0a3a1d4a222ca280adc911e02cc66948e016960f998aba7911cd0d1cb37",
+    (2, 1615): "14e392384ee5583695995f8e33c0821c504eb1f4c10e3975fa3203db60ceb34f",
+}
+
+
+@pytest.mark.parametrize("a, b", [*ALGEBRA_WITNESS_DIGESTS, (2, 1617), (2, 2001), (2, 4001), (2, 8001), (7, 5000)])
+def test_algebra_witness_output_or_budget(a, b, capsys):
+    # the products of poly_pow grow with b - a alone; from b - a = 1,615 on they
+    # pass the budget, and every pair below keeps its output byte for byte
+    code = cli.main(["algebra-witness", str(a), str(b)])
+    out, err = capsys.readouterr()
+    if (a, b) not in ALGEBRA_WITNESS_DIGESTS:
+        assert (code, out, err) == (3, "", "error: poly_pow exceeded its budget of 1000000 steps\n")
+    else:
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, ALGEBRA_WITNESS_DIGESTS[a, b])
 
 
 def test_case1(puiseux, capsys):

@@ -127,14 +127,14 @@ def test_validation_matches_rational_reference():
 
 def test_normalize_drops_reducible_generator():
     p = numerical(2, 3, 4)
-    q = normalize_atoms(p, "auto-reduce")
+    q = normalize_atoms(p)
     assert q.generators == (as_element([2]), as_element([3]))
 
 
 def test_normalize_reject_names_the_witness():
     p = numerical(2, 3, 4)
     with pytest.raises(NotAnAtom) as exc:
-        normalize_atoms(p, "reject")
+        ensure_normalized(p)
     assert exc.value.index == 2
     assert exc.value.witness == (2, 0, 0)
     assert p.evaluate(exc.value.witness) == as_element([4])
@@ -142,12 +142,12 @@ def test_normalize_reject_names_the_witness():
 
 def test_normalize_handles_duplicates():
     p = numerical(2, 3, 2)
-    assert normalize_atoms(p, "auto-reduce").generators == (
+    assert normalize_atoms(p).generators == (
         as_element([2]),
         as_element([3]),
     )
     with pytest.raises(DuplicateGenerator) as exc:
-        normalize_atoms(p, "reject")
+        ensure_normalized(p)
     assert (exc.value.index, exc.value.original) == (2, 0)
 
 
@@ -165,10 +165,21 @@ def test_normalize_puiseux_generators():
 
 def test_ensure_normalized():
     ensure_normalized(numerical(2, 3))
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized) as exc:
         ensure_normalized(numerical(2, 3, 4))
-    with pytest.raises(NotNormalized):
+    assert type(exc.value) is NotAnAtom
+    with pytest.raises(NotNormalized) as exc:
         ensure_normalized(numerical(2, 2, 3))
+    assert type(exc.value) is DuplicateGenerator
+
+
+def rejects(p):
+    """Whether ensure_normalized raises on p."""
+    try:
+        ensure_normalized(p)
+    except NotNormalized:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +351,12 @@ def test_walk_matches_box_oracles():
         keep = [g for i, g in enumerate(gens) if i not in repeated and witness[i] is None]
         q = normalize_atoms(p)
         assert q.generators == tuple(as_element(g) for g in keep)
+        assert rejects(p) == (q is not p)
         reducible = [i for i, w in enumerate(witness) if w is not None]
         if reducible and not repeated:
             i = reducible[0]
             with pytest.raises(NotAnAtom) as exc:
-                normalize_atoms(p, "reject")
+                ensure_normalized(p)
             assert (exc.value.index, exc.value.witness) == (i, witness[i])
             message = f"generator {i} is not an atom (witness {witness[i]}); normalize first"
             with pytest.raises(NotNormalized, match=re.escape(message)):
@@ -427,10 +439,10 @@ def test_elimination_matches_box_oracles():
         ]
         i = next((i for i, w in enumerate(witness) if w is not None), None)
         if i is None:
-            assert normalize_atoms(p, "reject") is p
+            ensure_normalized(p)
         else:
             with pytest.raises(NotAnAtom) as exc:
-                normalize_atoms(p, "reject")
+                ensure_normalized(p)
             assert (exc.value.index, exc.value.witness) == (i, witness[i])
             reducible += 1
     assert checked >= 80 and outside >= 3 and reducible >= 10 and several >= 10
@@ -523,10 +535,10 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
         ]
         i = next((i for i, w in enumerate(witness) if w is not None), None)
         if i is None:
-            assert normalize_atoms(p, "reject") is p
+            ensure_normalized(p)
         else:
             with pytest.raises(NotAnAtom) as exc:
-                normalize_atoms(p, "reject")
+                ensure_normalized(p)
             assert (exc.value.index, exc.value.witness) == (i, witness[i])
             reducible += 1
     assert checked >= 100 and several >= 25 and reducible >= 10
@@ -540,7 +552,7 @@ def test_atom_check_of_a_seven_generator_presentation_in_q4():
         ("2", "3", "2/3", "-2"),
     ])
     with pytest.raises(NotAnAtom) as exc:
-        normalize_atoms(p, "reject")
+        ensure_normalized(p)
     assert (exc.value.index, exc.value.witness) == (3, (3, 0, 0, 0, 2, 1, 0))
     assert p.evaluate(exc.value.witness) == p.generators[3]
 
