@@ -8,10 +8,10 @@ Three families are provided:
   side and ``b`` of the short side, every generator is an atom, and the kernel
   lattice of the presentation has rank one.
 
-* ``pls_example`` searches the admissible pairs for given pure-atom counts,
-  returning the first admissible ``(a, b)`` under a deterministic ordering, so
-  that the resulting monoid has exactly the requested numbers of purely long
-  and purely short atoms.
+* ``pls_example`` builds, for given pure-atom counts, the first admissible
+  ``(a, b)`` under a deterministic ordering in closed form, so that the
+  resulting monoid has exactly the requested numbers of purely long and
+  purely short atoms.
 
 * ``fixture_gallery`` assembles a fixed tour of small presentations whose
   classification outcomes are known in closed form, each paired with the
@@ -21,7 +21,6 @@ Three families are provided:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -135,42 +134,37 @@ def build_master_monoid(spec: MasterSpec) -> MonoidPresentation:
 def pls_example(purely_long: int, purely_short: int) -> MonoidPresentation:
     """A monoid with the requested pure-atom counts and no other atoms.
 
-    Returns the realization of the first admissible master spec with
-    ``purely_long`` long atoms and ``purely_short`` short atoms in a
-    deterministic order: iterative deepening on the maximum multiplicity,
-    then lexicographic on the concatenated multiplicity tuple ``a + b``.
-    Every admissible spec has the requested counts: the kernel of its
-    realization is spanned by the primitive w = (a, -b), whose coordinate
-    sum sigma(w) = sum(a) - sum(b) is positive.  By the rank-one rule of
-    :mod:`factolab.classify` (atom i is purely long iff sigma(w) w_i > 0 and
-    purely short iff sigma(w) w_i < 0), each long atom is purely long and
-    each short atom purely short.  Each candidate and output coordinate is a
-    step; more than ``linalg.MAX_STEPS`` steps raise BudgetExceeded.
+    Realizes the first admissible master spec with L = ``purely_long`` long and
+    S = ``purely_short`` short atoms under iterative deepening on the maximum
+    multiplicity, then lexicographic order on ``a + b``.  That spec has a
+    closed form.  For S >= 2 every ``b`` sums to at least S, and ``1^S`` works
+    for any ``a`` with ``sum(a) > S``: the cap is the least c >= 2 with
+    ``c * L > S``, and ``a`` the lexicographically first tuple in ``[1..c]^L``
+    summing past S.  For S = 1, ``(1,)`` is barred and ``(2,)`` needs
+    ``sum(a) > 2`` and an odd entry in ``a``: ``(3,)`` for L = 1, ``(1, 2)``
+    for L = 2 and ``1^L`` beyond.  Every admissible spec has the requested
+    counts: the kernel of its realization is spanned by the primitive
+    w = (a, -b), whose coordinate sum sigma(w) = sum(a) - sum(b) is positive.
+    By the rank-one rule of :mod:`factolab.classify` (atom i is purely long iff
+    sigma(w) w_i > 0 and purely short iff sigma(w) w_i < 0), each long atom is
+    purely long and each short atom purely short.  More than
+    ``linalg.MAX_STEPS`` output coordinates, (L + S - 1)^2, raise BudgetExceeded.
     """
     if purely_long < 1 or purely_short < 1:
         raise ValueError(
             "pure-atom counts must be at least 1: a monoid with a master "
             "relation has at least one atom of each kind"
         )
-    # specs of maximum below the cap failed under a smaller cap, so revisiting
-    # them keeps the order; the output has (L + S - 1)^2 coordinates
-    max_steps, steps = linalg.MAX_STEPS, (purely_long + purely_short - 1) ** 2
-    if steps > max_steps:  # checked before product() allocates its purely_long pools
-        raise linalg.BudgetExceeded(f"pls_example exceeded its budget of {max_steps} steps")
-    for cap in itertools.count(2):
-        for a in itertools.product(range(1, cap + 1), repeat=purely_long):
-            if steps > max_steps:
-                raise linalg.BudgetExceeded(f"pls_example exceeded its budget of {max_steps} steps")
-            steps += 1
-            if sum(a) <= purely_short:  # every b sums to at least purely_short
-                continue
-            for b in itertools.product(range(1, cap + 1), repeat=purely_short):
-                steps += 1
-                try:
-                    return build_master_monoid(MasterSpec(a, b))
-                except InvalidMasterSpec:
-                    continue
-    raise AssertionError("unreachable: the search space is unbounded")
+    if (purely_long + purely_short - 1) ** 2 > linalg.MAX_STEPS:
+        raise linalg.BudgetExceeded(f"pls_example exceeded its budget of {linalg.MAX_STEPS} steps")
+    if purely_short == 1:
+        spec = MasterSpec({1: (3,), 2: (1, 2)}.get(purely_long, (1,) * purely_long), (2,))
+    else:  # a is 1s, then at most one entry 1 + rem, then cap-valued entries
+        cap = max(2, purely_short // purely_long + 1)
+        full, rem = divmod(max(0, purely_short + 1 - purely_long), cap - 1)
+        a = (1,) * (purely_long - full - (rem > 0)) + ((1 + rem,) if rem else ()) + (cap,) * full
+        spec = MasterSpec(a, (1,) * purely_short)
+    return build_master_monoid(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +210,13 @@ def fixture_gallery(truncation: int = 4) -> list[Fixture]:
 
     ``truncation`` bounds the truncated families; every truncation at least 2
     produces the same verdicts, which is what the gallery check asserts.
+    BudgetExceeded is raised before anything is built when the cube of the
+    largest generator count, 2 * truncation + 3, passes ``linalg.MAX_STEPS``.
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
+    if (2 * truncation + 3) ** 3 > linalg.MAX_STEPS:
+        raise linalg.BudgetExceeded(f"fixture_gallery exceeded its budget of {linalg.MAX_STEPS} steps")
     k = truncation
     gallery = [
         Fixture(

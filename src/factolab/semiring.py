@@ -603,6 +603,8 @@ def case1_relation(
         raise ValueError("the relation needs two distinct atoms")
     q_i = presentation.generators[i][0]
     q_j = presentation.generators[j][0]
+    if q_i <= 0 or q_j <= 0:
+        raise ValueError(f"monomial atoms need positive exponents, got {q_i} and {q_j}")
     if q_i == q_j:
         raise ValueError("equal exponents give only the trivial relation")
     mult_i = q_j.numerator * q_i.denominator

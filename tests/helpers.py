@@ -3,10 +3,12 @@
 Everything in this module is deliberately written from scratch (dense
 Gaussian elimination, box searches, dense polynomial arithmetic) so the
 library is checked against code that shares none of its algorithms.  There
-are two exceptions.  ``recursive_solve_inequalities`` is the recursive
+are three exceptions.  ``recursive_solve_inequalities`` is the recursive
 Fourier-Motzkin elimination the library once used, kept to check the loop
 that replaced it.  ``reference_grading`` keeps validation on the rational
 generators, to check the validation on their integer form against.
+``reference_pls_spec`` is the search ``pls_example`` once ran, kept to check
+the closed form that replaced it.
 """
 
 from __future__ import annotations
@@ -320,3 +322,17 @@ def reference_grading(gens: Sequence[Sequence[Fraction]]) -> Optional[tuple[Frac
             return None
     low = min(sum(w * c for w, c in zip(h, g)) for g in gens)
     return tuple(w / low for w in h)
+
+
+def reference_pls_spec(long_count: int, short_count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first admissible master spec ``(a, b)`` with the given side lengths:
+    iterative deepening on the maximum multiplicity, then lexicographic on
+    ``a + b``.  Admissible means positive entries of joint gcd 1, ``sum(a) >
+    sum(b)``, and ``b != (1,)``."""
+    for cap in itertools.count(2):
+        for a in itertools.product(range(1, cap + 1), repeat=long_count):
+            if sum(a) <= short_count:  # every b sums to at least short_count
+                continue
+            for b in itertools.product(range(1, cap + 1), repeat=short_count):
+                if math.gcd(*a, *b) == 1 and sum(a) > sum(b) and b != (1,):
+                    return a, b

@@ -345,20 +345,14 @@ def fuzz_argument_argv(rng):
     return [command, draw(), draw()]
 
 
-def test_seeded_fuzz_of_the_argument_only_subcommands(monkeypatch, capsys):
-    """pls-example, algebra-witness and construct-master on integers from
-    FUZZ_INTEGERS, in process under the lowered budget: every call returns 0
-    with one JSON document, or 1 or 3 with an ``error:`` line, before an
-    alarm of a few seconds.  gallery is left out: ``--k 10^12`` builds
-    2 * 10^12 generators before any budget is checked, and a budget shared by
-    the whole gallery is still to be written."""
-    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**4)
+def _fuzz_under_alarm(argvs, capsys):
+    """Run each argv through ``cli.main`` under a 4-s alarm: every call
+    returns 0 with one JSON document, or 1 or 3 with an ``error:`` line.
+    Returns the count of each exit code."""
     previous = signal.signal(signal.SIGALRM, _raise_fuzz_timeout)
-    rng = random.Random(1712)
     codes = Counter()
     try:
-        for _ in range(400):
-            argv = fuzz_argument_argv(rng)
+        for argv in argvs:
             signal.alarm(4)
             try:
                 code = cli.main(argv)
@@ -375,7 +369,28 @@ def test_seeded_fuzz_of_the_argument_only_subcommands(monkeypatch, capsys):
                 assert out == "" and err.startswith("error: "), argv
     finally:
         signal.signal(signal.SIGALRM, previous)
+    return codes
+
+
+def test_seeded_fuzz_of_the_argument_only_subcommands(monkeypatch, capsys):
+    """pls-example, algebra-witness and construct-master on integers from
+    FUZZ_INTEGERS, in process under the lowered budget, each before its
+    alarm.  gallery has a loop of its own below, so that these draws stay
+    as they were."""
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**4)
+    rng = random.Random(1712)
+    codes = _fuzz_under_alarm((fuzz_argument_argv(rng) for _ in range(400)), capsys)
     assert codes[0] >= 40 and codes[1] >= 200 and codes[3] >= 50, codes
+
+
+def test_seeded_fuzz_of_the_gallery(monkeypatch, capsys):
+    """gallery with ``--k`` from FUZZ_INTEGERS under the lowered budget: the
+    budget refuses a large truncation before any fixture is built."""
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**4)
+    rng = random.Random(1713)
+    argvs = (["gallery", "--k", str(rng.choice(FUZZ_INTEGERS))] for _ in range(40))
+    codes = _fuzz_under_alarm(argvs, capsys)
+    assert codes[0] >= 5 and codes[1] >= 5 and codes[3] >= 10, codes
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +428,19 @@ def test_pls_example_rejects_zero():
 
 
 @pytest.mark.parametrize("counts, code", [
-    (("1", "200"), 0), (("60", "60"), 0), (("10000", "1"), 3), (("30", "60"), 3),
-    (("1000000000000", "1"), 3),
+    (("1", "200"), 0), (("60", "60"), 0), (("10000", "1"), 3), (("30", "60"), 0),
+    (("1000000000000", "1"), 3), (("7", "50"), 0),
 ])
 def test_pls_example_with_large_counts_ends_fast(counts, code):
-    # no a with sum(a) <= S admits a b, but each such a is a step: 30 60 walks
-    # 2^30 of them at cap 2; 10000 1 has 10^8 output coordinates, also steps
+    # the spec is built in closed form, so only the (L + S - 1)^2 output
+    # coordinates count: 10000 1 has 10^8 of them and exits 3
     result = run_cli("pls-example", *counts, timeout=10)
     assert result.returncode == code, result.stderr
     if code == 3:
         assert result.stderr.splitlines() == ["error: pls_example exceeded its budget of 1000000 steps"]
+    else:
+        report = json.loads(result.stdout)["report"]
+        assert [len(report["purely_long"]), len(report["purely_short"])] == [int(c) for c in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +476,15 @@ def test_gallery_bad_env_value():
 def test_gallery_rejects_tiny_k():
     result = run_cli("gallery", "--k", "1")
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--k", "1000000000000"], None), ([], {"FACTOLAB_TRUNCATION_K": "1000000000000"}),
+])
+def test_gallery_with_a_huge_truncation_exits_3(argv, env):
+    result = run_cli("gallery", *argv, env_extra=env, timeout=10)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.splitlines() == ["error: fixture_gallery exceeded its budget of 1000000 steps"]
 
 
 def test_gallery_mismatch_exits_2(monkeypatch, capsys):
@@ -619,6 +646,13 @@ def test_case1_rejects_same_atom(puiseux):
 @pytest.mark.parametrize("j", ["5", "-1"])
 def test_case1_rejects_bad_atom_index(p23, j):
     assert_clean_error(run_cli("case1", p23, "0", j))
+
+
+@pytest.mark.parametrize("generators", [[["2"], ["-3"]], [["1"], ["-1"]]])
+def test_case1_rejects_nonpositive_exponents(tmp_path, generators):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 1, "generators": generators}))
+    assert_clean_error(run_cli("case1", str(path), "0", "1"))
 
 
 # ---------------------------------------------------------------------------

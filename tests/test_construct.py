@@ -18,6 +18,7 @@ from factolab.construct import (
     verify_gallery,
 )
 from factolab.monoid import MonoidPresentation, validate_presentation
+from helpers import reference_pls_spec
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,12 @@ def test_pls_example_counts_sweep():
         assert report.prime == ()
         assert AtomLabel.NEITHER not in report.labels
         assert report.master is not None
+
+
+def test_pls_example_matches_the_reference_search():
+    for long_count, short_count in itertools.product(range(1, 7), repeat=2):
+        spec = MasterSpec(*reference_pls_spec(long_count, short_count))
+        assert pls_example(long_count, short_count) == build_master_monoid(spec)
 
 
 def test_pls_example_rejects_zero_counts():

@@ -14,15 +14,24 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "factolab"
 
 
+def _is_assertion(node: ast.AST) -> bool:
+    """An assert statement, or a raise of AssertionError, bare or called."""
+    if isinstance(node, ast.Raise):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return isinstance(node, ast.Assert)
+
+
 def test_no_assert_statements_in_the_package():
-    # python -O strips assert statements, so a check written as one vanishes
+    # python -O strips assert statements, so a check written as one vanishes;
+    # an internal defect raises InternalContradiction, not AssertionError
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     found = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Assert)
+        if _is_assertion(node)
     ]
     assert found == []
 
