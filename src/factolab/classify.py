@@ -26,10 +26,9 @@ solely in the independent oracle ``relation_evidence``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import floor, gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import InternalContradiction, LatticeBasis, parse_rational, span_witness
 from .monoid import (
@@ -52,8 +51,7 @@ class AtomLabel(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class FactorizationRelation:
+class FactorizationRelation(NamedTuple):
     """A pair of factorizations of one element, long side first."""
 
     left: FactorizationVector
@@ -77,8 +75,7 @@ class FactorizationRelation:
         return {"left": list(self.left), "right": list(self.right)}
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Verdicts, atom labels and witnesses of one presentation.
 
     ``master`` is the primitive unbalanced relation that generates all

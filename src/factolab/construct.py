@@ -21,7 +21,6 @@ Three families are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -45,8 +44,7 @@ class InvalidMasterSpec(ValueError):
     """The requested multiplicity pair cannot be a master relation."""
 
 
-@dataclass(frozen=True)
-class MasterSpec:
+class MasterSpec(linalg.Frozen):
     """Multiplicity data ``(a, b)`` for a master factorization relation.
 
     ``long_side`` lists the multiplicities of the atoms on the long side of
@@ -62,11 +60,8 @@ class MasterSpec:
       by the sum condition already.)
     """
 
-    long_side: tuple[int, ...]
-    short_side: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        a, b = self.long_side, self.short_side
+    def __init__(self, long_side: tuple[int, ...], short_side: tuple[int, ...]):
+        a, b = long_side, short_side
         if not a or not b:
             raise InvalidMasterSpec("both sides need at least one atom")
         for entry in (*a, *b):
@@ -87,6 +82,10 @@ class MasterSpec:
             raise InvalidMasterSpec(
                 "a single short atom with multiplicity 1 would not be an atom"
             )
+        self.__dict__.update(long_side=a, short_side=b)
+
+    def _key(self) -> tuple:
+        return self.long_side, self.short_side
 
     @property
     def long_count(self) -> int:
@@ -172,13 +171,15 @@ def pls_example(purely_long: int, purely_short: int) -> MonoidPresentation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fixture:
-    """A named presentation with its expected classification outcomes."""
+class Fixture(linalg.Frozen):
+    """A named presentation with its expected classification outcomes;
+    ``expected`` takes no part in ``==`` and ``hash``."""
 
-    name: str
-    presentation: MonoidPresentation
-    expected: dict = field(compare=False)
+    def __init__(self, name: str, presentation: MonoidPresentation, expected: dict):
+        self.__dict__.update(name=name, presentation=presentation, expected=expected)
+
+    def _key(self) -> tuple:
+        return self.name, self.presentation
 
 
 def _product_truncation(k: int) -> MonoidPresentation:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -97,8 +96,27 @@ def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class Frozen:
+    """Base of the package's immutable value classes.  A subclass stores its
+    fields through ``self.__dict__`` in ``__init__``; ``==``, ``hash`` and
+    ``repr`` read the tuple of compared fields that its ``_key`` returns."""
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._key()!r}"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class LatticeBasis(Frozen):
     """Basis of a saturated sublattice of Z^dim.
 
     Saturated means the lattice equals the intersection of its rational span
@@ -106,13 +124,14 @@ class LatticeBasis:
     the lattice itself.
     """
 
-    dim: int
-    vectors: tuple[IntVector, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.dim:
+    def __init__(self, dim: int, vectors: tuple[IntVector, ...]):
+        for v in vectors:
+            if len(v) != dim:
                 raise DimensionMismatch("basis vector of wrong length")
+        self.__dict__.update(dim=dim, vectors=vectors)
+
+    def _key(self) -> tuple:
+        return self.dim, self.vectors
 
     @property
     def rank(self) -> int:

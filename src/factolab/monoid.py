@@ -10,7 +10,6 @@ element are exponent vectors over the generators and are enumerated exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -20,6 +19,7 @@ from . import linalg
 from .linalg import (
     BudgetExceeded,
     DimensionMismatch,
+    Frozen,
     IntVector,
     InternalContradiction,
     LatticeBasis,
@@ -74,8 +74,7 @@ def as_element(values: Iterable) -> QVector:
     return tuple(parse_rational(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(NamedTuple):
     """Positive rational grading h; every generator satisfies h(g) >= 1."""
 
     weights: QVector
@@ -84,24 +83,21 @@ class Grading:
         return dot(self.weights, as_element(vector))
 
 
-@dataclass(frozen=True)
-class MonoidPresentation:
+class MonoidPresentation(Frozen):
     """k generator vectors in Q^d, understood additively."""
 
-    ambient_dim: int
-    generators: tuple[QVector, ...]
-    label: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, generators: tuple[QVector, ...], label: Optional[str] = None):
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be at least 1")
-        if not self.generators:
+        if not generators:
             raise InvalidGenerator("a presentation needs at least one generator")
-        for g in self.generators:
-            if len(g) != self.ambient_dim:
-                raise InvalidGenerator(
-                    f"generator {g} does not live in Q^{self.ambient_dim}"
-                )
+        for g in generators:
+            if len(g) != ambient_dim:
+                raise InvalidGenerator(f"generator {g} does not live in Q^{ambient_dim}")
+        self.__dict__.update(ambient_dim=ambient_dim, generators=generators, label=label)
+
+    def _key(self) -> tuple:
+        return self.ambient_dim, self.generators, self.label
 
     @classmethod
     def from_generators(cls, generators: Sequence[Iterable], label: Optional[str] = None) -> "MonoidPresentation":

@@ -25,7 +25,6 @@ atom-disjoint factorizations of the same length (:func:`algebra_witness`).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -34,7 +33,7 @@ from typing import Optional, Sequence
 from .classify import FactorizationRelation
 from . import linalg
 from .linalg import BudgetExceeded, InternalContradiction, Rational, format_rational, parse_rational
-from .monoid import MonoidPresentation
+from .monoid import MonoidPresentation, NotAnAtom
 
 __all__ = [
     "AlgebraWitness",
@@ -167,8 +166,7 @@ def monoid_elements_up_to(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemiringPolynomial:
+class SemiringPolynomial(linalg.Frozen):
     """A sparse polynomial over a coefficient domain and exponent monoid.
 
     ``coeff_domain`` is ``"N"`` (nonnegative integers) or ``"Q"``
@@ -180,9 +178,12 @@ class SemiringPolynomial:
     form; :attr:`terms` is the ``Fraction`` view.  Build with :meth:`from_terms`.
     """
 
-    index_terms: tuple[tuple[int, Rational], ...]
-    coeff_domain: str = "N"
-    exponent_monoid: Optional[MonoidPresentation] = None
+    def __init__(self, index_terms: tuple[tuple[int, Rational], ...], coeff_domain: str = "N",
+                 exponent_monoid: Optional[MonoidPresentation] = None):
+        self.__dict__.update(index_terms=index_terms, coeff_domain=coeff_domain, exponent_monoid=exponent_monoid)
+
+    def _key(self) -> tuple:
+        return self.index_terms, self.coeff_domain, self.exponent_monoid
 
     @classmethod
     def from_terms(
@@ -474,8 +475,11 @@ def natural_atom_test(
       ``<1/2, 1/3>`` may lie more than one step above the last one.
 
     ``f = g * h`` forces these ``h_j`` to be the coefficients of ``h``, so no
-    cut drops a divisor and the first divisor found is the box's first.  A
-    full candidate is still certified by :func:`poly_divide_exact`.  Each
+    cut drops a divisor and the first divisor found is the box's first.  At a
+    full candidate every ``h_j`` with ``a + j <= top(f)`` is fixed, and
+    ``g * h == f`` exactly when ``deg g + deg h <= top(f)``: that integer test
+    decides the candidate, and :func:`poly_divide_exact` certifies only the
+    divisor returned.  Each
     assigned coefficient is a step; a search longer than
     ``factolab.linalg.MAX_STEPS`` steps raises :class:`BudgetExceeded`, and
     so does a top exponent index above it, before anything is allocated.
@@ -523,12 +527,15 @@ def natural_atom_test(
         if p < last:
             p += 1
             continue
-        if prefix == [(0, 1)]:
+        deg_g = prefix[-1][0]
+        if (prefix == [(0, 1)] or (deg_g == top and h[0] == 1)  # g or h is one
+                or any(h[top - deg_g + 1 : top - prefix[0][0] + 1])):  # deg g + deg h > top
             continue
         candidate = SemiringPolynomial._from_index_terms(prefix, "N", f.exponent_monoid)
         quotient = poly_divide_exact(f, candidate)
-        if quotient is not None and not quotient.is_one():
-            return False, (candidate, quotient)
+        if quotient is None or quotient.is_one():
+            raise InternalContradiction(f"divisor {candidate} passed the integer check but not the division")
+        return False, (candidate, quotient)
     return True, None
 
 
@@ -592,7 +599,8 @@ def case1_relation(
     the powers ``(x^(q_i))^(n_j * d_i)`` and ``(x^(q_j))^(n_i * d_j)`` agree
     — both equal ``x^(n_i * n_j)`` — giving a relation whose two sides have
     different lengths whenever the exponents differ.  The side of the
-    smaller exponent is the longer one.
+    smaller exponent is the longer one.  A generator ``i`` or ``j`` that is
+    not an atom of the presentation raises :class:`NotAnAtom`.
     """
     if presentation.ambient_dim != 1:
         raise ValueError("monomial atoms need a one-dimensional monoid")
@@ -607,6 +615,10 @@ def case1_relation(
         raise ValueError(f"monomial atoms need positive exponents, got {q_i} and {q_j}")
     if q_i == q_j:
         raise ValueError("equal exponents give only the trivial relation")
+    defects = presentation.integer_form.atom_defects
+    for t in (i, j):
+        if defects[t] is not None:
+            raise NotAnAtom(t, defects[t])
     mult_i = q_j.numerator * q_i.denominator
     mult_j = q_i.numerator * q_j.denominator
     left = tuple(mult_i if t == i else 0 for t in range(k))
@@ -619,8 +631,7 @@ def case1_relation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlgebraWitness:
+class AlgebraWitness(linalg.Frozen):
     """One element of a monoid algebra with two equal-length factorizations.
 
     For coprime ``2 <= a < b`` the binomials ``a1 = x^(r*b) - x^(s*a)`` and
@@ -628,23 +639,22 @@ class AlgebraWitness:
     are atoms of the rational monoid algebra over the monoid generated by
     ``a`` and ``b``.  The factorization lists ``z1`` and ``z2`` multiply out
     to the same ``product`` while sharing no atom, and both have length
-    ``c + b - a`` where ``c = |s*a - q*b|``.
+    ``c + b - a`` where ``c = |s*a - q*b|``.  ``numerical``, the monoid's
+    :class:`NumericalMonoid`, takes no part in ``==`` and ``hash``.
     """
 
-    a: int
-    b: int
-    p: int
-    q: int
-    r: int
-    s: int
-    c: int
-    a1: SemiringPolynomial
-    a2: SemiringPolynomial
-    z1: tuple[tuple[SemiringPolynomial, int], ...]
-    z2: tuple[tuple[SemiringPolynomial, int], ...]
-    product: SemiringPolynomial
-    monoid: MonoidPresentation
-    numerical: NumericalMonoid = field(compare=False)
+    def __init__(
+        self, a: int, b: int, p: int, q: int, r: int, s: int, c: int,
+        a1: SemiringPolynomial, a2: SemiringPolynomial,
+        z1: tuple[tuple[SemiringPolynomial, int], ...], z2: tuple[tuple[SemiringPolynomial, int], ...],
+        product: SemiringPolynomial, monoid: MonoidPresentation, numerical: NumericalMonoid,
+    ):
+        self.__dict__.update(a=a, b=b, p=p, q=q, r=r, s=s, c=c, a1=a1, a2=a2, z1=z1, z2=z2,
+                             product=product, monoid=monoid, numerical=numerical)
+
+    def _key(self) -> tuple:
+        return (self.a, self.b, self.p, self.q, self.r, self.s, self.c,
+                self.a1, self.a2, self.z1, self.z2, self.product, self.monoid)
 
     @property
     def factorization_length(self) -> int:

@@ -655,6 +655,15 @@ def test_case1_rejects_nonpositive_exponents(tmp_path, generators):
     assert_clean_error(run_cli("case1", str(path), "0", "1"))
 
 
+@pytest.mark.parametrize("i, j", [("0", "1"), ("1", "0")])
+def test_case1_rejects_a_non_atom(tmp_path, capsys, i, j):
+    # 4 = 2 + 2, so <2, 4> has no relation between two atoms x^2 and x^4
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 1, "generators": [["2"], ["4"]]}))
+    assert cli.main(["case1", str(path), i, j]) == 1
+    assert capsys.readouterr() == ("", "error: generator 1 is not an atom (witness (2, 0)); normalize first\n")
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,13 +60,17 @@ def test_no_unused_imports():
 
 
 def _fresh(code: str) -> list[str]:
-    """Run ``code`` in a new interpreter; the factolab submodules it loaded."""
-    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('factolab.')), file=sys.stderr)"
+    """Run ``code`` in a new interpreter, which must load neither
+    ``dataclasses`` nor ``inspect``; the names of the modules it loaded."""
+    code += "\nimport sys; print(*sorted(sys.modules), file=sys.stderr)"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert result.returncode == 0, result.stderr
-    return result.stderr.splitlines()[-1].split()
+    loaded = result.stderr.splitlines()[-1].split()
+    # dataclasses, with the inspect, ast and dis it pulls in, costs every CLI call about 10 ms
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    return loaded
 
 
 def test_import_loads_neither_construct_nor_semiring():
@@ -109,3 +114,59 @@ def test_subcommand_loads_only_its_layers(tmp_path, argv, absent):
     loaded = _fresh(f"import factolab.cli\nassert factolab.cli.main({argv!r}) == 0")
     assert "factolab.cli" in loaded
     assert {f"factolab.{layer}" for layer in absent}.isdisjoint(loaded)
+
+
+def _record_cases():
+    """Per record class: the class, its fields, one compared field with another
+    value, and the field left out of ``==`` and ``hash`` with another value."""
+    from factolab import (AlgebraWitness, ClassificationReport, FactorizationRelation, Fixture, Grading,
+                          LatticeBasis, MasterSpec, MonoidPresentation, NumericalMonoid, SemiringPolynomial,
+                          algebra_witness, classify)
+
+    p23 = MonoidPresentation.from_values([2, 3])
+    return {
+        "LatticeBasis": (LatticeBasis, {"dim": 2, "vectors": ((3, -2),)}, ("vectors", ((2, -3),)), None),
+        "Grading": (Grading, {"weights": (Fraction(1), Fraction(3, 2))}, ("weights", (Fraction(1),)), None),
+        "MonoidPresentation": (MonoidPresentation, {"ambient_dim": 1, "generators": p23.generators, "label": "p"},
+                               ("label", None), None),
+        "FactorizationRelation": (FactorizationRelation, {"left": (3, 0), "right": (0, 2)},
+                                  ("right", (0, 3)), None),
+        "ClassificationReport": (ClassificationReport, classify(p23)._asdict(), ("is_lfm", False), None),
+        "MasterSpec": (MasterSpec, {"long_side": (3,), "short_side": (2,)}, ("short_side", (1, 1)), None),
+        "Fixture": (Fixture, {"name": "pair", "presentation": p23, "expected": {"is_lfm": True}},
+                    ("name", "other"), ("expected", {})),
+        "SemiringPolynomial": (SemiringPolynomial, {"index_terms": ((1, 1), (0, 2)), "coeff_domain": "N",
+                                                    "exponent_monoid": None}, ("coeff_domain", "Q"), None),
+        "AlgebraWitness": (AlgebraWitness, dict(vars(algebra_witness(2, 3))), ("c", 99),
+                           ("numerical", NumericalMonoid([5, 7]))),
+    }
+
+
+@pytest.mark.parametrize("name", ["LatticeBasis", "Grading", "MonoidPresentation", "FactorizationRelation",
+                                  "ClassificationReport", "MasterSpec", "Fixture", "SemiringPolynomial",
+                                  "AlgebraWitness"])
+def test_records_compare_hash_and_refuse_assignment(name):
+    cls, fields, (changed, value), ignored = _record_cases()[name]
+    first, second = cls(**fields), cls(**fields)
+    assert first == second and not first != second
+    assert first != cls(**{**fields, changed: value})
+    if name == "ClassificationReport":  # its witnesses are a dict, so it has no hash
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        assert hash(first) == hash(second)
+    if ignored:
+        other = cls(**{**fields, ignored[0]: ignored[1]})
+        assert other == first and hash(other) == hash(first)
+    with pytest.raises(AttributeError):
+        setattr(first, changed, value)
+    assert getattr(first, changed) == fields[changed]
+
+
+def test_records_cache_their_derived_forms():
+    from factolab import MonoidPresentation, SemiringPolynomial
+
+    p = MonoidPresentation.from_values([Fraction(1, 2), Fraction(1, 3)])
+    assert p.integer_form is p.integer_form
+    f = SemiringPolynomial.from_terms([(Fraction(1, 2), 3), (0, 1)], "N", p)
+    assert f.terms is f.terms and f.terms == ((Fraction(1, 2), Fraction(3)), (0, Fraction(1)))
