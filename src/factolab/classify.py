@@ -30,7 +30,7 @@ from enum import Enum
 from math import floor, gcd
 from typing import NamedTuple, Optional
 
-from .linalg import InternalContradiction, LatticeBasis, parse_rational, span_witness
+from .linalg import InternalContradiction, LatticeBasis, parse_rational, sign_normalized, span_witness
 from .monoid import (
     FactorizationVector,
     MonoidPresentation,
@@ -122,12 +122,8 @@ class ClassificationReport(NamedTuple):
 
 
 def _primitive(vector: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for c in vector:
-        g = gcd(g, abs(c))
-    if g > 1:
-        vector = tuple(c // g for c in vector)
-    return vector
+    g = gcd(*vector)
+    return tuple(c // g for c in vector) if g > 1 else vector
 
 
 def _orient(vector: tuple[int, ...]) -> tuple[int, ...]:
@@ -136,12 +132,7 @@ def _orient(vector: tuple[int, ...]) -> tuple[int, ...]:
     s = sum(v)
     if s < 0:
         return tuple(-c for c in v)
-    if s > 0:
-        return v
-    for c in v:
-        if c != 0:
-            return v if c > 0 else tuple(-c2 for c2 in v)
-    return v
+    return v if s > 0 else sign_normalized(v)
 
 
 def _balanced_kernel_vector(basis: LatticeBasis) -> Optional[tuple[int, ...]]:

@@ -44,7 +44,10 @@ def _read_json(path: str):
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_presentation(path: str, normalize: bool) -> MonoidPresentation:

@@ -110,23 +110,11 @@ def build_master_monoid(spec: MasterSpec) -> MonoidPresentation:
     The kernel lattice of the presentation is then spanned by the requested
     relation, so the classification of the result is fully prescribed.
     """
-    m, n = spec.long_count, spec.short_count
-    dim = m + n - 1
-    generators: list[tuple[Fraction, ...]] = []
-    for i in range(dim):
-        generators.append(
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-        )
-    combined = [Fraction(0)] * dim
-    for i, mult in enumerate(spec.long_side):
-        combined[i] += mult
-    for j, mult in enumerate(spec.short_side[:-1]):
-        combined[m + j] -= mult
-    last = tuple(Fraction(c, spec.short_side[-1]) for c in combined)
-    generators.append(last)
-    label = "master-" + "-".join(
-        [*map(str, spec.long_side), "over", *map(str, spec.short_side)]
-    )
+    a, b = spec.long_side, spec.short_side
+    dim = spec.long_count + spec.short_count - 1
+    generators = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    generators.append([Fraction(c, b[-1]) for c in (*a, *(-b_j for b_j in b[:-1]))])
+    label = "master-" + "-".join(map(str, (*a, "over", *b)))
     return MonoidPresentation.from_generators(generators, label=label)
 
 
@@ -182,28 +170,26 @@ class Fixture(linalg.Frozen):
         return self.name, self.presentation
 
 
-def _product_truncation(k: int) -> MonoidPresentation:
-    gens: list[tuple[int, ...]] = [(2, 0, 0), (3, 0, 0)]
-    for n in range(k + 1):
-        gens.append((0, n, 1))
-    return MonoidPresentation.from_generators(
-        gens, label=f"product-truncation-{k}"
-    )
+def _truncation(family: str, k: int) -> MonoidPresentation:
+    """(2, 0, 0), (3, 0, 0) and (0, n, 1) for n from 0 ("product") or -k ("signed") to k."""
+    start = 0 if family == "product" else -k
+    gens = [(2, 0, 0), (3, 0, 0), *((0, n, 1) for n in range(start, k + 1))]
+    return MonoidPresentation.from_generators(gens, label=f"{family}-truncation-{k}")
 
 
-def _signed_truncation(k: int) -> MonoidPresentation:
-    gens: list[tuple[int, ...]] = [(2, 0, 0), (3, 0, 0)]
-    for n in range(-k, k + 1):
-        gens.append((0, n, 1))
-    return MonoidPresentation.from_generators(
-        gens, label=f"signed-truncation-{k}"
-    )
-
-
-def _strip(k: int) -> MonoidPresentation:
-    return MonoidPresentation.from_generators(
-        [(n, 1) for n in range(k + 1)], label=f"strip-{k}"
-    )
+# The verdicts a fixture has unless it states otherwise.  After kernel_rank,
+# which every fixture states, these are the fields verify_gallery checks.
+_VERDICTS = {
+    "is_ufm": False,
+    "is_lfm": False,
+    "is_hfm": False,
+    "is_plsm": False,
+    "purely_long": (),
+    "purely_short": (),
+    "prime": (),
+    "master": None,
+}
+_CHECKED_FIELDS = ("kernel_rank", *_VERDICTS)
 
 
 def fixture_gallery(truncation: int = 4) -> list[Fixture]:
@@ -213,123 +199,30 @@ def fixture_gallery(truncation: int = 4) -> list[Fixture]:
     produces the same verdicts, which is what the gallery check asserts.
     BudgetExceeded is raised before anything is built when the cube of the
     largest generator count, 2 * truncation + 3, passes ``linalg.MAX_STEPS``.
+    Each fixture states its kernel rank and where it departs from ``_VERDICTS``.
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     if (2 * truncation + 3) ** 3 > linalg.MAX_STEPS:
         raise linalg.BudgetExceeded(f"fixture_gallery exceeded its budget of {linalg.MAX_STEPS} steps")
     k = truncation
-    gallery = [
-        Fixture(
-            name="lfm-pair-2-3",
-            presentation=MonoidPresentation.from_values([2, 3], label="2-3"),
-            expected={
-                "kernel_rank": 1,
-                "is_ufm": False,
-                "is_lfm": True,
-                "is_hfm": False,
-                "is_plsm": True,
-                "purely_long": (0,),
-                "purely_short": (1,),
-                "prime": (),
-                "master": {"left": [3, 0], "right": [0, 2]},
-            },
-        ),
-        Fixture(
-            name="non-lfm-triple-3-4-5",
-            presentation=MonoidPresentation.from_values(
-                [3, 4, 5], label="3-4-5"
-            ),
-            expected={
-                "kernel_rank": 2,
-                "is_ufm": False,
-                "is_lfm": False,
-                "is_hfm": False,
-                "is_plsm": False,
-                "purely_long": (),
-                "purely_short": (),
-                "prime": (),
-                "master": None,
-            },
-        ),
-        Fixture(
-            name="scaled-triple-3-4-5-over-7",
-            presentation=MonoidPresentation.from_values(
-                [Fraction(3, 7), Fraction(4, 7), Fraction(5, 7)],
-                label="3-4-5-over-7",
-            ),
-            expected={
-                "kernel_rank": 2,
-                "is_ufm": False,
-                "is_lfm": False,
-                "is_hfm": False,
-                "is_plsm": False,
-                "purely_long": (),
-                "purely_short": (),
-                "prime": (),
-                "master": None,
-            },
-        ),
-        Fixture(
-            name=f"pure-pair-with-neither-cloud-{k}",
-            presentation=_product_truncation(k),
-            expected={
-                "kernel_rank": k,
-                "is_ufm": False,
-                "is_lfm": False,
-                "is_hfm": False,
-                "is_plsm": True,
-                "purely_long": (0,),
-                "purely_short": (1,),
-                "prime": (),
-                "master": None,
-            },
-        ),
-        Fixture(
-            name=f"signed-neither-cloud-{k}",
-            presentation=_signed_truncation(k),
-            expected={
-                "kernel_rank": 2 * k,
-                "is_ufm": False,
-                "is_lfm": False,
-                "is_hfm": False,
-                "is_plsm": True,
-                "purely_long": (0,),
-                "purely_short": (1,),
-                "prime": (),
-                "master": None,
-            },
-        ),
-        Fixture(
-            name=f"half-factorial-strip-{k}",
-            presentation=_strip(k),
-            expected={
-                "kernel_rank": k - 1,
-                "is_ufm": False,
-                "is_lfm": False,
-                "is_hfm": True,
-                "is_plsm": False,
-                "purely_long": (),
-                "purely_short": (),
-                "prime": (),
-                "master": None,
-            },
-        ),
+    one_long_one_short = {"is_plsm": True, "purely_long": (0,), "purely_short": (1,)}
+
+    def fixture(name: str, presentation: MonoidPresentation, kernel_rank: int, **verdicts) -> Fixture:
+        return Fixture(name, presentation, {"kernel_rank": kernel_rank, **_VERDICTS, **verdicts})
+
+    return [
+        fixture("lfm-pair-2-3", MonoidPresentation.from_values([2, 3], label="2-3"), 1, is_lfm=True,
+                master={"left": [3, 0], "right": [0, 2]}, **one_long_one_short),
+        fixture("non-lfm-triple-3-4-5", MonoidPresentation.from_values([3, 4, 5], label="3-4-5"), 2),
+        fixture("scaled-triple-3-4-5-over-7",
+                MonoidPresentation.from_values([Fraction(n, 7) for n in (3, 4, 5)], label="3-4-5-over-7"), 2),
+        fixture(f"pure-pair-with-neither-cloud-{k}", _truncation("product", k), k, **one_long_one_short),
+        fixture(f"signed-neither-cloud-{k}", _truncation("signed", k), 2 * k, **one_long_one_short),
+        fixture(f"half-factorial-strip-{k}",
+                MonoidPresentation.from_generators([(n, 1) for n in range(k + 1)], label=f"strip-{k}"),
+                k - 1, is_hfm=True),
     ]
-    return gallery
-
-
-_CHECKED_FIELDS = (
-    "kernel_rank",
-    "is_ufm",
-    "is_lfm",
-    "is_hfm",
-    "is_plsm",
-    "purely_long",
-    "purely_short",
-    "prime",
-    "master",
-)
 
 
 def _report_field(report: ClassificationReport, name: str):
@@ -338,9 +231,7 @@ def _report_field(report: ClassificationReport, name: str):
     return getattr(report, name)
 
 
-def verify_gallery(
-    gallery: Optional[Sequence[Fixture]] = None,
-) -> list[str]:
+def verify_gallery(gallery: Optional[Sequence[Fixture]] = None) -> list[str]:
     """Classify every fixture and diff against its expectations.
 
     Returns a list of human-readable mismatch lines; an empty list means the
@@ -355,7 +246,5 @@ def verify_gallery(
                 continue
             got = _report_field(report, key)
             if got != want:
-                mismatches.append(
-                    f"{fixture.name}: {key} expected {want!r}, got {got!r}"
-                )
+                mismatches.append(f"{fixture.name}: {key} expected {want!r}, got {got!r}")
     return mismatches

@@ -138,7 +138,7 @@ class LatticeBasis(Frozen):
         return len(self.vectors)
 
 
-def _sign_normalized(vector: Sequence[int]) -> IntVector:
+def sign_normalized(vector: Sequence[int]) -> IntVector:
     """Flip the sign so the first nonzero entry is positive."""
     for x in vector:
         if x != 0:
@@ -190,7 +190,7 @@ def integer_kernel(rows: Iterable[Sequence[int]]) -> LatticeBasis:
                 if j != j0:
                     combine(j, j0, cols[j][r] // cols[j0][r])
 
-    kernel = tuple(_sign_normalized(trans[j]) for j in range(pivots, k))
+    kernel = tuple(sign_normalized(trans[j]) for j in range(pivots, k))
     return LatticeBasis(k, kernel)
 
 
@@ -281,7 +281,10 @@ def span_witness(rows: Iterable[Sequence[int]], vectors: Sequence[IntVector]) ->
     if solved is None:
         return None
     nums, den = solved
-    z = [sum(map(mul, nums, column)) for column in zip(*vectors)]
+    z = [0] * (len(vectors[0]) if vectors else 0)
+    for t, v in zip(nums, vectors):
+        if t:  # most numerators are zero: a purity system's point rests on few vectors
+            z = [x + t * c for x, c in zip(z, v)]
     g = math.gcd(den, *z)
     return tuple(x // g for x in z)
 

@@ -210,6 +210,15 @@ def test_missing_file(tmp_path):
     assert "error" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "semiring-atom"])
+def test_deeply_nested_json_exits_1_naming_the_file(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    result = run_cli(command, str(path))
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.splitlines() == [f"error: {path}: JSON nested too deeply to read"]
+
+
 def test_not_pointed_presentation(tmp_path):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"dim": 1, "generators": [["1"], ["-1"]]}))

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+import factolab.cli as cli
+import factolab.construct as construct
 from factolab.classify import AtomLabel, FactorizationRelation, classify
 from factolab.construct import (
+    _CHECKED_FIELDS,
     Fixture,
     InvalidMasterSpec,
     MasterSpec,
@@ -249,3 +254,52 @@ def test_gallery_ranks_scale_with_truncation():
         assert by_name[f"half-factorial-strip-{k}"].expected[
             "kernel_rank"
         ] == k - 1
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the gallery and the master builder
+# ---------------------------------------------------------------------------
+
+
+GALLERY_STDOUT_SHA256 = {
+    2: "6e5afdf13b49637da6925cd95b245ea99985bff91514b0ab02656a5554f4939e",
+    3: "682a325ff211be49cc0ce26e929db30d27016f9b33794c1b9d95b484e7464f10",
+    4: "23ac9962b6d8405e9d831e7fc96061b6d161e68c1692e40e271b1dc5e10257ab",
+    48: "18e298deaf00133ace4dd490deb311eaae982f25553fb474cfd3efec0d5d60c0",
+}
+
+
+@pytest.mark.parametrize("k", sorted(GALLERY_STDOUT_SHA256))
+def test_gallery_stdout_is_pinned(k, capsys):
+    assert cli.main(["gallery", "--k", str(k)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GALLERY_STDOUT_SHA256[k]
+
+
+def test_master_sweep_presentations_are_pinned():
+    """Every admissible spec with sides in {1..4}^{1..3}, hashed in order."""
+    sides = [t for n in (1, 2, 3) for t in itertools.product(range(1, 5), repeat=n)]
+    digest, count = hashlib.sha256(), 0
+    for a, b in itertools.product(sides, sides):
+        try:
+            spec = MasterSpec(a, b)
+        except InvalidMasterSpec:
+            continue
+        count += 1
+        digest.update(json.dumps(build_master_monoid(spec).to_json_dict(), sort_keys=True).encode())
+    assert count == 2939
+    assert digest.hexdigest() == "49942eb9742b5f5631bc13fc79c5191a7bee9acb155dbc1e46738860e966b04e"
+
+
+@pytest.mark.parametrize("k", [2, 4, 48])
+def test_every_fixture_expects_exactly_the_checked_fields_in_order(k):
+    for fixture in fixture_gallery(k):
+        assert tuple(fixture.expected) == _CHECKED_FIELDS, fixture.name
+
+
+def test_a_flipped_verdict_is_reported_by_every_fixture(monkeypatch):
+    real = construct.classify
+    monkeypatch.setattr(construct, "classify", lambda p: real(p)._replace(is_ufm=not real(p).is_ufm))
+    lines = verify_gallery(fixture_gallery())
+    assert len(lines) == 6
+    assert [line.split(":")[0] for line in lines] == [f.name for f in fixture_gallery()]
+    assert all(": is_ufm expected False, got True" in line for line in lines)
