@@ -34,8 +34,8 @@ from .linalg import InternalContradiction, LatticeBasis, parse_rational, sign_no
 from .monoid import (
     FactorizationVector,
     MonoidPresentation,
-    ensure_normalized,
     graded_walk,
+    require_atoms,
 )
 
 FINITENESS_NOTE = (
@@ -183,9 +183,7 @@ def _purity_refutation(vectors, sigmas: list[int], i: int, sign: int) -> Optiona
 
 def classify(presentation: MonoidPresentation) -> ClassificationReport:
     """Full exact classification of a validated, atoms-only presentation."""
-    ensure_normalized(presentation)
-
-    basis = presentation.integer_form.kernel
+    basis = require_atoms(presentation).kernel
     k = presentation.atom_count
     rank = basis.rank
     sigmas = [sum(v) for v in basis.vectors]
@@ -274,8 +272,7 @@ def relation_evidence(presentation: MonoidPresentation, bound) -> list[Factoriza
     coordinates as digits, which is injective on these elements and orders
     them as their tuples do.
     """
-    ensure_normalized(presentation)
-    form = presentation.integer_form
+    form = require_atoms(presentation)
     budget = floor(parse_rational(bound) * form.unit)
     radix = 2 * budget * max(abs(c) for x in form.columns for c in x) + 1
     keys = [(sum(c * radix**r for r, c in enumerate(reversed(x))),) for x in form.columns]

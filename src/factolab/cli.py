@@ -33,7 +33,7 @@ from .monoid import (
     enumerate_factorizations,
     normalize_atoms,
 )
-from .linalg import format_rational, parse_rational
+from .linalg import excerpt, format_rational, parse_rational
 
 TRUNCATION_ENV = "FACTOLAB_TRUNCATION_K"
 
@@ -115,7 +115,7 @@ def _resolve_truncation(flag: Optional[int]) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(
-            f"environment variable {TRUNCATION_ENV}={raw!r} is not an integer"
+            f"environment variable {TRUNCATION_ENV}={excerpt(repr(raw))} is not an integer"
         )
 
 

@@ -67,16 +67,16 @@ class MasterSpec(linalg.Frozen):
         for entry in (*a, *b):
             if not isinstance(entry, int) or entry < 1:
                 raise InvalidMasterSpec(
-                    f"multiplicities must be positive integers, got {entry!r}"
+                    f"multiplicities must be positive integers, got {linalg.excerpt(repr(entry))}"
                 )
         if gcd(*a, *b) != 1:
             raise InvalidMasterSpec(
                 "joint gcd of the multiplicities must be 1, "
-                f"got {gcd(*a, *b)} for {a} | {b}"
+                f"got {linalg.excerpt(gcd(*a, *b))} for {linalg.excerpt(a)} | {linalg.excerpt(b)}"
             )
         if sum(a) <= sum(b):
             raise InvalidMasterSpec(
-                f"long side must be strictly longer: sum{a} <= sum{b}"
+                f"long side must be strictly longer: sum{linalg.excerpt(a)} <= sum{linalg.excerpt(b)}"
             )
         if len(b) == 1 and b[0] == 1:
             raise InvalidMasterSpec(

@@ -47,6 +47,13 @@ MAX_STEPS = 10**6  # the step budget of every search, Fourier-Motzkin eliminatio
 _RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.[0-9]*)")
 
 
+def excerpt(value) -> str:
+    """``str(value)``, or past 40 characters its first 16 and its length, so
+    that an error message echoing an input stays short whatever its size."""
+    text = str(value)
+    return text if len(text) <= 40 else f"{text[:16]}... ({len(text)} characters)"
+
+
 def parse_rational(value: Rational) -> Fraction:
     """Parse a rational given as ``Fraction``, ``int`` (not ``bool``), or a
     string: an optionally signed integer "n", "p/q" or a decimal "1.5", with
@@ -59,13 +66,13 @@ def parse_rational(value: Rational) -> Fraction:
         try:
             return Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"{value!r} has a zero denominator") from None
+            raise ValueError(f"{excerpt(repr(value))} has a zero denominator") from None
         except ValueError:  # an integer past the interpreter's digit limit
             raise ValueError(
                 f"entry {text[:16]!r}... has {sum(map(str.isdigit, text))} digits, "
                 f"above the limit of {sys.get_int_max_str_digits()} digits per integer"
             ) from None
-    raise ValueError(f"cannot interpret {value!r} as a rational number")
+    raise ValueError(f"cannot interpret {excerpt(repr(value))} as a rational number")
 
 
 def format_rational(value: Rational) -> str:

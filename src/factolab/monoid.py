@@ -24,11 +24,12 @@ from .linalg import (
     InternalContradiction,
     LatticeBasis,
     dot,
+    excerpt,
     format_rational,
+    fourier_motzkin,
     homogeneous_lp_witness,
     integer_kernel,
     parse_rational,
-    solve_inequalities,
 )
 
 QVector = tuple[Fraction, ...]
@@ -45,7 +46,7 @@ class NotPointed(ValueError):
     def __init__(self, witness: tuple[int, ...]):
         self.witness = witness
         super().__init__(
-            f"presentation is not pointed: nonzero nonnegative kernel vector {witness}"
+            f"presentation is not pointed: nonzero nonnegative kernel vector {excerpt(witness)}"
         )
 
 
@@ -91,9 +92,9 @@ class MonoidPresentation(Frozen):
             raise ValueError("ambient dimension must be at least 1")
         if not generators:
             raise InvalidGenerator("a presentation needs at least one generator")
-        for g in generators:
+        for j, g in enumerate(generators):
             if len(g) != ambient_dim:
-                raise InvalidGenerator(f"generator {g} does not live in Q^{ambient_dim}")
+                raise InvalidGenerator(f"generator {j} has {len(g)} coordinates, not {excerpt(ambient_dim)}")
         self.__dict__.update(ambient_dim=ambient_dim, generators=generators, label=label)
 
     def _key(self) -> tuple:
@@ -163,16 +164,13 @@ class MonoidPresentation(Frozen):
             raise ValueError("presentation JSON needs 'dim' and 'generators' fields")
         dim, rows = data["dim"], data["generators"]
         if type(dim) is not int:
-            raise ValueError(f"'dim' must be an integer, got {dim!r}")
+            raise ValueError(f"'dim' must be an integer, got {excerpt(repr(dim))}")
         if not isinstance(rows, list) or not all(isinstance(g, list) for g in rows):
             raise ValueError("'generators' must be a list of lists of rationals")
         gens = tuple(as_element(g) for g in rows)
-        for g in gens:
-            if len(g) != dim:
-                raise InvalidGenerator(f"generator {g} does not match dim {dim}")
         label = data.get("label")
         if label is not None and not isinstance(label, str):
-            raise ValueError(f"'label' must be a string, got {label!r}")
+            raise ValueError(f"'label' must be a string, got {excerpt(repr(label))}")
         return cls(dim, gens, label)
 
 
@@ -224,26 +222,28 @@ class IntegerForm:
     unit > 0; ``grades`` are the generators' grades u . x.  Both scalings are
     positive, so they keep every relation, factorization and order of
     elements.  Every search runs under these grades, on ``reduction``, an
-    elimination of the columns.
+    elimination of the columns.  Only :attr:`grading`, the rational h, holds
+    fractions; it is built on first use.
     """
 
     def __init__(self, presentation: MonoidPresentation):
-        gens = presentation.generators
-        self.scales = tuple(
-            math.lcm(*(g[i].denominator for g in gens)) for i in range(presentation.ambient_dim)
-        )
+        ratios = [[c.as_integer_ratio() for c in g] for g in presentation.generators]
+        self.scales = tuple(math.lcm(*(den for _, den in row)) for row in zip(*ratios))
         self.columns = tuple(
-            tuple(c.numerator * (s // c.denominator) for c, s in zip(g, self.scales)) for g in gens
+            tuple(num * (s // den) for (num, den), s in zip(g, self.scales)) for g in ratios
         )
         for j, column in enumerate(self.columns):
             if not any(column):
                 raise InvalidGenerator(f"generator {j} is the zero vector")
         # u = h / s grades the columns as h grades the generators: the coordinate
-        # sum, or Fourier-Motzkin, which no positive rescaling of a variable moves.
+        # sum, or the integer numerators of a Fourier-Motzkin point.  Neither a
+        # positive rescaling of a variable nor the point's common denominator
+        # moves h, which is min-normalized below.
         common = math.lcm(*self.scales)
         u = [common // s for s in self.scales]
         if any(sum(map(mul, u, x)) <= 0 for x in self.columns):
-            u = solve_inequalities([(x, 1) for x in self.columns], len(self.scales))
+            solved = fourier_motzkin([(*x, 1) for x in self.columns], len(self.scales))
+            u = None if solved is None else solved[0]
         if u is None:  # no positive grading, so a nonnegative relation exists
             k = len(self.columns)
             nonneg = [tuple(-1 if j == i else 0 for j in range(k)) for i in range(k)]
@@ -253,12 +253,16 @@ class IntegerForm:
                 if witness is not None:
                     raise NotPointed(witness)
             raise InternalContradiction("no grading found and no nonnegative kernel witness either")
+        # the weights are u / low over the least common denominator ``unit``
         low = min(sum(map(mul, u, x)) for x in self.columns)
-        ratios = [Fraction(w) / low for w in u]
-        self.grading = Grading(tuple(s * q for s, q in zip(self.scales, ratios)))
-        self.unit = math.lcm(*(q.denominator for q in ratios))
-        self.weights = tuple(q.numerator * (self.unit // q.denominator) for q in ratios)
+        self.unit = math.lcm(*(low // math.gcd(w, low) for w in u))
+        self.weights = tuple(w * self.unit // low for w in u)
         self.grades = tuple(sum(map(mul, self.weights, x)) for x in self.columns)
+
+    @cached_property
+    def grading(self) -> Grading:
+        """The rational grading h = s * u / unit, min-normalized to 1."""
+        return Grading(tuple(Fraction(s * w, self.unit) for s, w in zip(self.scales, self.weights)))
 
     @cached_property
     def kernel(self) -> LatticeBasis:
@@ -382,9 +386,14 @@ def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> Optional[tup
         return None
     floors = []
     for q in range(len(columns)):
-        bounds = (min(0, *(Fraction(c[i], g) for c, g in zip(columns[q:], grades[q:])))
-                  for i in range(len(columns[0])))
-        floors.append(tuple((i, f.numerator, f.denominator) for i, f in enumerate(bounds)))
+        bounds = []
+        for i in range(len(columns[0])):
+            num, den = 0, 1  # compared by cross-multiplication, as every grade is positive
+            for c, g in zip(columns[q:], grades[q:]):
+                if c[i] * den < num * g:
+                    num, den = c[i], g
+            bounds.append((i, num, den))
+        floors.append(tuple(bounds))
     return tuple(floors)
 
 
@@ -522,13 +531,19 @@ def normalize_atoms(presentation: MonoidPresentation) -> MonoidPresentation:
     return MonoidPresentation(presentation.ambient_dim, survivors, presentation.label)
 
 
-def ensure_normalized(presentation: MonoidPresentation) -> Grading:
+def require_atoms(presentation: MonoidPresentation) -> IntegerForm:
     """Validate and demand that the presentation lists exactly the atoms:
-    the first defect raises DuplicateGenerator or NotAnAtom."""
+    the first defect raises DuplicateGenerator or NotAnAtom.  Returns the
+    integer form, without building its rational grading."""
     form = presentation.integer_form
     for i, original in _duplicates(form).items():
         raise DuplicateGenerator(i, original)
     for i, witness in enumerate(form.atom_defects):
         if witness is not None:
             raise NotAnAtom(i, witness)
-    return form.grading
+    return form
+
+
+def ensure_normalized(presentation: MonoidPresentation) -> Grading:
+    """:func:`require_atoms`, returning the validated grading."""
+    return require_atoms(presentation).grading

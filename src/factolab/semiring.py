@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .classify import FactorizationRelation
 from . import linalg
-from .linalg import BudgetExceeded, InternalContradiction, Rational, format_rational, parse_rational
+from .linalg import BudgetExceeded, InternalContradiction, Rational, excerpt, format_rational, parse_rational
 from .monoid import MonoidPresentation, NotAnAtom
 
 __all__ = [
@@ -84,13 +84,13 @@ class NumericalMonoid:
             raise ValueError("generators must be positive integers")
         if gcd(*gens) != 1:
             raise ValueError(
-                f"generators {gens} have gcd {gcd(*gens)}; "
+                f"generators {excerpt(gens)} have gcd {excerpt(gcd(*gens))}; "
                 "membership beyond the table would be undecidable"
             )
         self.generators = gens
         m = gens[0]
         if m > linalg.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
-            raise BudgetExceeded(f"smallest generator {m} exceeds the budget of {linalg.MAX_STEPS} steps")
+            raise BudgetExceeded(f"smallest generator {excerpt(m)} exceeds the budget of {linalg.MAX_STEPS} steps")
         apery: list[Optional[int]] = [None] * m
         apery[0] = 0
         heap = [(0, 0)]
@@ -199,7 +199,7 @@ class SemiringPolynomial(linalg.Frozen):
         A coefficient or exponent outside the semiring raises ``ValueError``.
         """
         if coeff_domain not in ("N", "Q"):
-            raise ValueError(f"unknown coefficient domain {coeff_domain!r}")
+            raise ValueError(f"unknown coefficient domain {excerpt(repr(coeff_domain))}")
         merged: dict[Fraction, Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exponent, coefficient in items:
@@ -224,11 +224,11 @@ class SemiringPolynomial(linalg.Frozen):
             if not c:
                 continue
             if coeff_domain == "N" and (c < 0 or c.denominator != 1):
-                raise ValueError(f"coefficient {c} is not a nonnegative integer")
+                raise ValueError(f"coefficient {excerpt(c)} is not a nonnegative integer")
             if numerical is None:
                 unit, numerical = _rank_one_scaling(exponent_monoid)
             if n.denominator != 1 or not numerical.contains(n.numerator):
-                raise ValueError(f"exponent {n * unit} lies outside the monoid")
+                raise ValueError(f"exponent {excerpt(n * unit)} lies outside the monoid")
             kept.append((n.numerator, c.numerator if c.denominator == 1 else c))
         kept.sort(reverse=True)  # indices are distinct, so only they are compared
         return cls(tuple(kept), coeff_domain, exponent_monoid)
@@ -494,7 +494,7 @@ def natural_atom_test(
     target = dict(f.index_terms)
     top, low, bound = max(target), min(target), max(target.values())
     if top > linalg.MAX_STEPS:
-        raise BudgetExceeded(f"top exponent index {top} exceeds the budget of {linalg.MAX_STEPS} steps")
+        raise BudgetExceeded(f"top exponent index {excerpt(top)} exceeds the budget of {linalg.MAX_STEPS} steps")
     f_dense = [target.get(n, 0) for n in range(top + 1)]
     exponents = [n for n in range(top + 1) if numerical.contains(n)]
     stops = exponents[1:] + [top + 1]
@@ -606,13 +606,13 @@ def case1_relation(
         raise ValueError("monomial atoms need a one-dimensional monoid")
     k = presentation.atom_count
     if not (0 <= i < k and 0 <= j < k):
-        raise ValueError(f"atom indices must lie in 0..{k - 1}, got {i} and {j}")
+        raise ValueError(f"atom indices must lie in 0..{k - 1}, got {excerpt(i)} and {excerpt(j)}")
     if i == j:
         raise ValueError("the relation needs two distinct atoms")
     q_i = presentation.generators[i][0]
     q_j = presentation.generators[j][0]
     if q_i <= 0 or q_j <= 0:
-        raise ValueError(f"monomial atoms need positive exponents, got {q_i} and {q_j}")
+        raise ValueError(f"monomial atoms need positive exponents, got {excerpt(q_i)} and {excerpt(q_j)}")
     if q_i == q_j:
         raise ValueError("equal exponents give only the trivial relation")
     defects = presentation.integer_form.atom_defects

@@ -180,6 +180,56 @@ def test_analyze_with_a_huge_generator_ends_fast(tmp_path, generators, code, err
     assert result.stderr.splitlines() == [error]
 
 
+MAX_ERROR_LINE = 200  # characters in any stderr line: fixed text and at most three excerpts
+
+
+DIGIT_LIMIT_ERROR = (f"error: entry '{'7' * 16}'... has 100000 digits, above the limit of "
+                     f"{sys.get_int_max_str_digits()} digits per integer")
+
+
+@pytest.mark.parametrize("command, entry, error", [
+    ("analyze", "7" * 10**5 + "x",
+     f"error: cannot interpret '{'7' * 15}... (100003 characters) as a rational number"),
+    ("semiring-atom", "7" * 10**5 + "x",
+     f"error: cannot interpret '{'7' * 15}... (100003 characters) as a rational number"),
+    ("analyze", "7" * 10**5, DIGIT_LIMIT_ERROR),
+    ("semiring-atom", "7" * 10**5, DIGIT_LIMIT_ERROR),
+    # a number of 4,001 characters parses, and is echoed in part: as a kernel
+    # entry of the witness, or as the coefficient
+    ("analyze", "-" + "9" * 4000,
+     f"error: presentation is not pointed: nonzero nonnegative kernel vector "
+     f"({'9' * 15}... (4005 characters)"),
+    ("semiring-atom", "-" + "9" * 4000,
+     f"error: coefficient -{'9' * 15}... (4001 characters) is not a nonnegative integer"),
+], ids=["not-a-rational-analyze", "not-a-rational-semiring-atom", "digit-limit-analyze",
+        "digit-limit-semiring-atom", "long-number-analyze", "long-number-semiring-atom"])
+def test_a_huge_entry_gets_a_short_error_line(tmp_path, capsys, command, entry, error):
+    data = ({"terms": [["1", "1"], ["0", entry]]} if command == "semiring-atom"
+            else {"dim": 1, "generators": [["2"], [entry]]})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert run_inproc(command, str(path)) == (1, "")
+    assert capsys.readouterr() == ("", error + "\n")
+    assert len(error) <= MAX_ERROR_LINE
+
+
+HUGE_ARGUMENT = "2" + "0" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct-master", "--long", HUGE_ARGUMENT, HUGE_ARGUMENT, "--short", HUGE_ARGUMENT],
+    ["construct-master", "--long", "1", "--short", "1", HUGE_ARGUMENT],
+    ["construct-master", "--long", "-" + HUGE_ARGUMENT, "--short", "1"],
+    ["case1", "P23", HUGE_ARGUMENT, "0"],
+], ids=["joint-gcd", "not-longer", "not-positive", "atom-index"])
+def test_a_huge_argument_gets_a_short_error_line(p23, capsys, argv):
+    argv = [p23 if a == "P23" else a for a in argv]
+    assert run_inproc(*argv) == (1, "")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) <= MAX_ERROR_LINE and "... (300" in err  # 3,001 characters and more, cut
+
+
 def test_evidence(p23, capsys):
     code, out = run_inproc(
         "evidence", p23, "--bound", "20", capsys=capsys
@@ -313,7 +363,8 @@ def fuzz_argv(rng, path):
 def test_seeded_fuzz_ends_in_an_exit_code_not_a_traceback(tmp_path, monkeypatch, capsys):
     """Mutated presentations and polynomials through five subcommands, in
     process: every call returns 0 with one JSON document, or 1 or 3 with an
-    ``error:`` line; any other exception fails the test with its traceback.
+    ``error:`` line, and no stderr line is longer than MAX_ERROR_LINE; any
+    other exception fails the test with its traceback.
     The budget is lowered so that a round that runs out of it takes
     milliseconds, not a second."""
     monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**4)
@@ -324,6 +375,7 @@ def test_seeded_fuzz_ends_in_an_exit_code_not_a_traceback(tmp_path, monkeypatch,
         code = cli.main(argv)
         out, err = capsys.readouterr()
         codes[code] += 1
+        assert all(len(line) <= MAX_ERROR_LINE for line in err.splitlines()), (argv, err[:200])
         if code == 0:
             json.loads(out)
         else:
@@ -356,7 +408,8 @@ def fuzz_argument_argv(rng):
 
 def _fuzz_under_alarm(argvs, capsys):
     """Run each argv through ``cli.main`` under a 4-s alarm: every call
-    returns 0 with one JSON document, or 1 or 3 with an ``error:`` line.
+    returns 0 with one JSON document, or 1 or 3 with an ``error:`` line, and
+    no stderr line is longer than MAX_ERROR_LINE.
     Returns the count of each exit code."""
     previous = signal.signal(signal.SIGALRM, _raise_fuzz_timeout)
     codes = Counter()
@@ -371,6 +424,7 @@ def _fuzz_under_alarm(argvs, capsys):
                 signal.alarm(0)
             out, err = capsys.readouterr()
             codes[code] += 1
+            assert all(len(line) <= MAX_ERROR_LINE for line in err.splitlines()), (argv, err[:200])
             if code == 0:
                 json.loads(out)
             else:

@@ -73,6 +73,14 @@ def test_parse_rational_takes_only_ascii_forms():
     message = f"entry '{'1' * 16}'... has {limit + 700} digits, above the limit of {limit} digits per integer"
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_rational("1" * (limit + 700))
+    # a long rejected value is echoed as its first 16 characters and its length
+    with pytest.raises(ValueError, match=re.escape(f"'1/{'0' * 13}... (105 characters) has a zero denominator")):
+        parse_rational("1/" + "0" * 101)
+    nested = []
+    for _ in range(899):
+        nested = [nested]
+    with pytest.raises(ValueError, match=re.escape("cannot interpret [[[[[[[[[[[[[[[[... (1800 characters)")):
+        parse_rational(nested)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from factolab import monoid
-from factolab.classify import relation_evidence
+from factolab.classify import classify, relation_evidence
 from factolab.monoid import (
     BudgetExceeded,
     DuplicateGenerator,
@@ -118,6 +118,56 @@ def test_validation_matches_rational_reference():
             assert validate_presentation(p).weights == want, gens
             outcomes["coordinate sum" if all(sum(g) > 0 for g in gens) else "Fourier-Motzkin"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+INTEGER_FORM_CASES = {  # generators, and an element to factor
+    "coordinate sum": ([["1/2", "0"], ["2/3", "0"], ["0", "1"], ["1/3", "1"]], ["5/2", "2"]),
+    "Fourier-Motzkin": ([["1", "-2"], ["0", "1/3"], ["2", "-3"]], ["3", "-5"]),
+    "not pointed": ([["1", "0"], ["-1/2", "0"], ["0", "1"]], ["1", "1"]),
+}
+
+
+def _integer_form_outcomes(gens, element):
+    """normalize_atoms, classify and enumerate_factorizations, each on a fresh
+    presentation: its result, or NotPointed if it raised that."""
+    calls = (
+        normalize_atoms,
+        lambda p: classify(normalize_atoms(p)),
+        lambda p: enumerate_factorizations(p, element),
+    )
+    outcomes = []
+    for call in calls:
+        p = MonoidPresentation.from_generators(gens)
+        try:
+            outcomes.append(call(p))
+        except NotPointed:
+            outcomes.append(NotPointed)
+    return outcomes
+
+
+@pytest.mark.parametrize("gens, element", INTEGER_FORM_CASES.values(), ids=INTEGER_FORM_CASES.keys())
+def test_integer_form_builds_no_fraction(monkeypatch, gens, element):
+    """The integer form, its reduction, the atom check and classify build no
+    Fraction in the monoid module; only the grading, on first use, does."""
+    want = _integer_form_outcomes(gens, element)
+    assert (want[0] is NotPointed) == (gens is INTEGER_FORM_CASES["not pointed"][0])
+    assert want[0] is NotPointed or len(want[2]) >= 2
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built in factolab.monoid")
+
+    monkeypatch.setattr("factolab.monoid.Fraction", no_fraction)
+    assert _integer_form_outcomes(gens, element) == want
+
+
+def test_fourier_motzkin_grading_is_built_on_first_use():
+    # no coordinate sum is positive on all three: (1, -2) sums to -1
+    p = MonoidPresentation.from_generators(INTEGER_FORM_CASES["Fourier-Motzkin"][0])
+    form = p.integer_form
+    assert (form.scales, form.weights, form.unit, form.grades) == ((1, 3), (7, 1), 1, (1, 1, 5))
+    assert "grading" not in vars(form)
+    assert validate_presentation(p) == Grading((Fraction(7), Fraction(3)))
+    assert validate_presentation(p) is form.grading
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,10 @@ def test_monoid_elements_up_to():
     ]
     assert monoid_elements_up_to(None, Fraction(3)) == [0, 1, 2, 3]
     assert monoid_elements_up_to(None, Fraction(-1)) == []
+    # a bound in [0, unit) leaves only 0: the unit is 1 for N and 1/6 here
+    assert monoid_elements_up_to(None, Fraction(1, 2)) == [0]
+    assert monoid_elements_up_to(pm, Fraction(1, 10)) == [0]
+    assert monoid_elements_up_to(pm, Fraction(1, 6)) == [0]
 
 
 def test_monoid_elements_up_to_budget(monkeypatch):
