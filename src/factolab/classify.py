@@ -103,21 +103,12 @@ class ClassificationReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "kernel_rank": self.kernel_rank,
+            **self._asdict(),
             "kernel_basis": [list(v) for v in self.kernel_basis],
-            "is_ufm": self.is_ufm,
-            "is_lfm": self.is_lfm,
-            "is_hfm": self.is_hfm,
-            "is_plsm": self.is_plsm,
-            "is_ffm": self.is_ffm,
-            "is_bfm": self.is_bfm,
             "labels": [label.value for label in self.labels],
-            "prime": list(self.prime),
-            "purely_long": list(self.purely_long),
-            "purely_short": list(self.purely_short),
+            **{key: list(getattr(self, key)) for key in ("prime", "purely_long", "purely_short")},
             "master": self.master.to_json_dict() if self.master else None,
             "witnesses": {key: list(v) for key, v in sorted(self.witnesses.items())},
-            "note": self.note,
         }
 
 
@@ -147,15 +138,6 @@ def _balanced_kernel_vector(basis: LatticeBasis) -> Optional[tuple[int, ...]]:
         mixed = tuple(s2 * a - s1 * b for a, b in zip(b1, b2))
         return _orient(mixed)
     return None
-
-
-def _master_from_basis(basis: LatticeBasis) -> Optional[FactorizationRelation]:
-    if basis.rank != 1:
-        return None
-    b = basis.vectors[0]
-    if sum(b) == 0:
-        return None
-    return FactorizationRelation.from_kernel_vector(_orient(b))
 
 
 def _rank_one_refutations(b: tuple[int, ...], i: int) -> tuple[Optional[tuple[int, ...]], ...]:
@@ -248,7 +230,7 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
         prime=prime,
         purely_long=purely_long,
         purely_short=purely_short,
-        master=_master_from_basis(basis),
+        master=FactorizationRelation.from_kernel_vector(_orient(basis.vectors[0])) if is_lfm and rank else None,
         witnesses=witnesses,
     )
 

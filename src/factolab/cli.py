@@ -167,27 +167,12 @@ def _cmd_algebra_witness(args) -> int:
     from .semiring import algebra_witness
 
     witness = algebra_witness(args.a, args.b)
-    factor_list = lambda z: [
-        {"factor": poly.to_json_dict(), "multiplicity": mult} for poly, mult in z
-    ]
-    _emit(
-        {
-            "a": witness.a,
-            "b": witness.b,
-            "p": witness.p,
-            "q": witness.q,
-            "r": witness.r,
-            "s": witness.s,
-            "c": witness.c,
-            "a1": witness.a1.to_json_dict(),
-            "a2": witness.a2.to_json_dict(),
-            "z1": factor_list(witness.z1),
-            "z2": factor_list(witness.z2),
-            "product": witness.product.to_json_dict(),
-            "factorization_length": witness.factorization_length,
-            "monoid": witness.monoid.to_json_dict(),
-        }
-    )
+    payload = witness._asdict()
+    for key in ("a1", "a2", "product", "monoid"):
+        payload[key] = payload[key].to_json_dict()
+    for key in ("z1", "z2"):
+        payload[key] = [{"factor": poly.to_json_dict(), "multiplicity": mult} for poly, mult in payload[key]]
+    _emit({**payload, "factorization_length": witness.factorization_length})
     return 0
 
 

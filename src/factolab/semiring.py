@@ -28,7 +28,7 @@ import heapq
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .classify import FactorizationRelation
 from . import linalg
@@ -267,7 +267,9 @@ class SemiringPolynomial(linalg.Frozen):
         coeff_domain: str = "N",
         exponent_monoid: Optional[MonoidPresentation] = None,
     ) -> "SemiringPolynomial":
-        return cls.from_terms([(0, 1)], coeff_domain, exponent_monoid)
+        if coeff_domain not in ("N", "Q"):
+            raise ValueError(f"unknown coefficient domain {excerpt(repr(coeff_domain))}")
+        return cls._from_index_terms([(0, 1)], coeff_domain, exponent_monoid)
 
     def is_zero(self) -> bool:
         return not self.index_terms
@@ -375,7 +377,7 @@ def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
     steps past ``linalg.MAX_STEPS`` raise BudgetExceeded before they are made."""
     if power < 0:
         raise ValueError("negative powers are not defined in a semiring")
-    result, steps = SemiringPolynomial._from_index_terms([(0, 1)], f.coeff_domain, f.exponent_monoid), 0
+    result, steps = SemiringPolynomial.one(f.coeff_domain, f.exponent_monoid), 0
     while power:
         odd, power, n = power & 1, power >> 1, len(f.index_terms)
         steps += (len(result.index_terms) * n if odd else 0) + (n * n if power else 0)  # this round's products
@@ -631,7 +633,7 @@ def case1_relation(
 # ---------------------------------------------------------------------------
 
 
-class AlgebraWitness(linalg.Frozen):
+class AlgebraWitness(NamedTuple):
     """One element of a monoid algebra with two equal-length factorizations.
 
     For coprime ``2 <= a < b`` the binomials ``a1 = x^(r*b) - x^(s*a)`` and
@@ -639,22 +641,27 @@ class AlgebraWitness(linalg.Frozen):
     are atoms of the rational monoid algebra over the monoid generated by
     ``a`` and ``b``.  The factorization lists ``z1`` and ``z2`` multiply out
     to the same ``product`` while sharing no atom, and both have length
-    ``c + b - a`` where ``c = |s*a - q*b|``.  ``numerical``, the monoid's
-    :class:`NumericalMonoid`, takes no part in ``==`` and ``hash``.
+    ``c + b - a`` where ``c = |s*a - q*b|``.
     """
 
-    def __init__(
-        self, a: int, b: int, p: int, q: int, r: int, s: int, c: int,
-        a1: SemiringPolynomial, a2: SemiringPolynomial,
-        z1: tuple[tuple[SemiringPolynomial, int], ...], z2: tuple[tuple[SemiringPolynomial, int], ...],
-        product: SemiringPolynomial, monoid: MonoidPresentation, numerical: NumericalMonoid,
-    ):
-        self.__dict__.update(a=a, b=b, p=p, q=q, r=r, s=s, c=c, a1=a1, a2=a2, z1=z1, z2=z2,
-                             product=product, monoid=monoid, numerical=numerical)
+    a: int
+    b: int
+    p: int
+    q: int
+    r: int
+    s: int
+    c: int
+    a1: SemiringPolynomial
+    a2: SemiringPolynomial
+    z1: tuple[tuple[SemiringPolynomial, int], ...]
+    z2: tuple[tuple[SemiringPolynomial, int], ...]
+    product: SemiringPolynomial
+    monoid: MonoidPresentation
 
-    def _key(self) -> tuple:
-        return (self.a, self.b, self.p, self.q, self.r, self.s, self.c,
-                self.a1, self.a2, self.z1, self.z2, self.product, self.monoid)
+    @property
+    def numerical(self) -> NumericalMonoid:
+        """The monoid's :class:`NumericalMonoid`, cached on the presentation."""
+        return self.monoid.rank_one[1]
 
     @property
     def factorization_length(self) -> int:
@@ -669,7 +676,7 @@ class AlgebraWitness(linalg.Frozen):
 
 def _multiply_out(factors, monoid: MonoidPresentation) -> SemiringPolynomial:
     """The product of ``poly ** multiplicity`` over the (poly, multiplicity) pairs."""
-    result = SemiringPolynomial._from_index_terms([(0, 1)], "Q", monoid)
+    result = SemiringPolynomial.one("Q", monoid)
     for poly, multiplicity in factors:
         result = poly_mul(result, poly_pow(poly, multiplicity))
     return result
@@ -700,7 +707,6 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
         raise InternalContradiction("cofactors must be positive")
 
     monoid = MonoidPresentation.from_values([a, b], label=f"numerical-{a}-{b}")
-    numerical = monoid.rank_one[1]  # the unit is gcd(a, b) = 1
 
     def binomial(high: int, low: int) -> SemiringPolynomial:
         return SemiringPolynomial.from_terms(
@@ -732,34 +738,14 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
         return SemiringPolynomial._from_index_terms(poly.index_terms, "Q", None)
 
     shift = SemiringPolynomial.monomial(c, 1, "Q", None)
-    if delta > 0:
-        if poly_mul(shift, ambient(a2)) != ambient(a1):
-            raise InternalContradiction("shift identity failed for delta > 0")
-        z1 = ((mono_a, c), (a1, b - a))
-        z2 = ((mono_b, c), (a2, b - a))
-    else:
-        if poly_mul(shift, ambient(a1)) != ambient(a2):
-            raise InternalContradiction("shift identity failed for delta < 0")
-        z1 = ((mono_a, c), (a2, b - a))
-        z2 = ((mono_b, c), (a1, b - a))
+    high, low = (a1, a2) if delta > 0 else (a2, a1)
+    if poly_mul(shift, ambient(low)) != ambient(high):
+        raise InternalContradiction(f"shift identity failed for delta = {delta}")
+    z1 = ((mono_a, c), (high, b - a))
+    z2 = ((mono_b, c), (low, b - a))
 
     product = _multiply_out(z1, monoid)
     if product != _multiply_out(z2, monoid):
         raise InternalContradiction("the two factorizations disagree")
 
-    return AlgebraWitness(
-        a=a,
-        b=b,
-        p=p,
-        q=q,
-        r=r,
-        s=s,
-        c=c,
-        a1=a1,
-        a2=a2,
-        z1=z1,
-        z2=z2,
-        product=product,
-        monoid=monoid,
-        numerical=numerical,
-    )
+    return AlgebraWitness(a, b, p, q, r, s, c, a1, a2, z1, z2, product, monoid)

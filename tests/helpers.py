@@ -129,7 +129,8 @@ def random_unimodular(dim: int, rng, steps: int = 6) -> list[list[int]]:
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     n, m, p = len(a), len(b), len(b[0])
-    assert len(a[0]) == m
+    if len(a[0]) != m:  # explicit, so that the check survives python -O
+        raise ValueError(f"cannot multiply {n}x{len(a[0])} by {m}x{p}")
     return [[sum(a[i][t] * b[t][j] for t in range(m)) for j in range(p)] for i in range(n)]
 
 

@@ -151,6 +151,12 @@ def test_kernel_unimodular_invariance():
             assert in_lattice(basis_a.vectors, v)
 
 
+def test_mat_mul_oracle_refuses_mismatched_shapes():
+    assert mat_mul([[1, 2, 3], [4, 5, 6]], [[1], [0], [2]]) == [[7], [16]]
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1]])  # 2x3 times 2x2
+
+
 # ---------------------------------------------------------------------------
 # homogeneous feasibility
 # ---------------------------------------------------------------------------

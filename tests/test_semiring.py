@@ -198,6 +198,17 @@ def test_from_terms_merges_and_validates():
         SemiringPolynomial.from_terms([(0, 1)], coeff_domain="Z")
 
 
+@pytest.mark.parametrize("coeff_domain, exponent_monoid", [
+    ("N", None), ("Q", None), ("N", MonoidPresentation.from_values([Fraction(1, 2), Fraction(1, 3)])),
+])
+def test_one_is_the_unit_polynomial(coeff_domain, exponent_monoid):
+    one = SemiringPolynomial.one(coeff_domain, exponent_monoid)
+    assert one.is_one() and one.index_terms == ((0, 1),)
+    assert one == SemiringPolynomial.from_terms([(0, 1)], coeff_domain, exponent_monoid)
+    with pytest.raises(ValueError):
+        SemiringPolynomial.one("Z", exponent_monoid)
+
+
 def test_exponent_monoid_validation():
     m23 = MonoidPresentation.from_values([2, 3])
     SemiringPolynomial.from_terms([(5, 1), (0, 2)], "N", m23)
