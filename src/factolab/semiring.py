@@ -475,6 +475,13 @@ def natural_atom_test(
       so it is fixed once every exponent up to ``a + j`` is assigned: below
       the next unassigned exponent of the monoid, which in a monoid such as
       ``<1/2, 1/3>`` may lie more than one step above the last one.
+    * the sum of the coefficients of ``g`` assigned so far, times the sum of
+      the ``h_j`` fixed so far, exceeds ``f(1)``.  Evaluating at ``x = 1`` is
+      a semiring homomorphism onto the naturals, so ``f(1) = g(1) * h(1)``,
+      and both partial sums only grow as the rest is assigned.  Before a coefficient
+      ``c`` is tried at ``a + j`` the ``h_i`` with ``i < j`` are already
+      fixed and do not depend on ``c``, so once ``c`` breaks this cap every
+      larger ``c`` does too, and the position is left at once.
 
     ``f = g * h`` forces these ``h_j`` to be the coefficients of ``h``, so no
     cut drops a divisor and the first divisor found is the box's first.  At a
@@ -498,17 +505,23 @@ def natural_atom_test(
     if top > linalg.MAX_STEPS:
         raise BudgetExceeded(f"top exponent index {excerpt(top)} exceeds the budget of {linalg.MAX_STEPS} steps")
     f_dense = [target.get(n, 0) for n in range(top + 1)]
+    f_one = sum(f_dense)
     exponents = [n for n in range(top + 1) if numerical.contains(n)]
     stops = exponents[1:] + [top + 1]
     last = len(exponents) - 1
     chosen = [-1] * len(exponents)
     prefix: list[tuple[int, int]] = []  # the nonzero (exponent, coefficient) assigned so far
+    g_sums = [0] * (last + 2)  # g_sums[p]: the sum of g's coefficients before position p
     h = [0] * (top + 1)
+    h_sums = [0] * (top + 2)  # h_sums[j] = h_0 + ... + h_(j-1)
     p = steps = 0
     max_steps = linalg.MAX_STEPS
     while p >= 0:
+        n = exponents[p]
+        while prefix and prefix[-1][0] >= n:
+            prefix.pop()
         c = chosen[p] + 1
-        if c > bound:
+        if c > bound or (c and prefix and (g_sums[p] + c) * h_sums[n - prefix[0][0]] > f_one):
             chosen[p] = -1
             p -= 1
             continue
@@ -516,15 +529,14 @@ def natural_atom_test(
         if steps > max_steps:
             raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
         chosen[p] = c
-        n = exponents[p]
-        while prefix and prefix[-1][0] >= n:
-            prefix.pop()
+        g_sums[p + 1] = g_sums[p] + c
         if c:
             prefix.append((n, c))
         if not prefix:
             if n >= low:  # every completion starts above f's lowest exponent
                 continue
-        elif not _quotient_fits(f_dense, prefix, h, n, stops[p], numerical):
+        elif (not _quotient_fits(f_dense, prefix, h, h_sums, n, stops[p], numerical)
+              or g_sums[p + 1] * h_sums[stops[p] - prefix[0][0]] > f_one):
             continue
         if p < last:
             p += 1
@@ -541,10 +553,10 @@ def natural_atom_test(
     return True, None
 
 
-def _quotient_fits(f_dense, prefix, h, n: int, stop: int, numerical) -> bool:
-    """Extend the bottom-up quotient ``h`` over the exponents ``n .. stop-1``
-    of ``f`` fixed by ``prefix``; False as soon as a coefficient cannot be one
-    of a quotient in the semiring."""
+def _quotient_fits(f_dense, prefix, h, h_sums, n: int, stop: int, numerical) -> bool:
+    """Extend the bottom-up quotient ``h`` and its prefix sums ``h_sums`` over
+    the exponents ``n .. stop-1`` of ``f`` fixed by ``prefix``; False as soon
+    as a coefficient cannot be one of a quotient in the semiring."""
     a, lead = prefix[0]
     higher = prefix[1:]
     for j in range(n - a, stop - a):
@@ -552,6 +564,7 @@ def _quotient_fits(f_dense, prefix, h, n: int, stop: int, numerical) -> bool:
         if value < 0 or value % lead or (value and not numerical.contains(j)):
             return False
         h[j] = value // lead
+        h_sums[j + 1] = h_sums[j] + h[j]
     return True
 
 

@@ -621,11 +621,26 @@ def test_semiring_atom_rejects_rational_domain():
     assert result.returncode == 1
 
 
+def binomial_power_payload(k):
+    """``(x + 1)^k`` over N0 as the JSON that ``semiring-atom`` reads."""
+    terms = [[str(n), str(math.comb(k, n))] for n in range(k, -1, -1)]
+    return json.dumps({"coeff_domain": "N", "monoid": "N0", "terms": terms})
+
+
+def test_semiring_atom_decides_a_tenth_power():
+    result = run_cli("semiring-atom", "-", stdin_text=binomial_power_payload(10))
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert data["is_atom"] is False
+    assert data["witness"]["factor"]["terms"] == [["1", "1"], ["0", "1"]]
+    assert data["witness"]["cofactor"]["terms"] == [
+        [str(n), str(math.comb(9, n))] for n in range(9, -1, -1)
+    ]
+
+
 def test_semiring_atom_over_budget_exits_3():
-    # (x + 1)^10: the pruned atom search needs more than the default step budget
-    terms = [[str(k), str(math.comb(10, k))] for k in range(10, -1, -1)]
-    payload = json.dumps({"coeff_domain": "N", "monoid": "N0", "terms": terms})
-    result = run_cli("semiring-atom", "-", stdin_text=payload)
+    # (x + 1)^20: the pruned atom search needs more than the default step budget
+    result = run_cli("semiring-atom", "-", stdin_text=binomial_power_payload(20))
     assert result.returncode == 3, result.stderr
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: search exceeded its budget of 1000000 steps"]

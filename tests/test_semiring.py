@@ -462,6 +462,31 @@ def test_pruned_atom_search_matches_the_box():
             seen += 1
 
 
+def test_pruned_atom_search_matches_the_box_on_three_atoms():
+    # f(1) = g(1) * h(1) caps each coefficient of g once a few h_j are known;
+    # atoms with a constant term start every divisor at exponent 0, so the
+    # cap has h_j to read on most of these products
+    rng = random.Random(23017)
+    spaces = [
+        (None, Fraction(1), range(10**6), 2),
+        (HALF_THIRD, Fraction(1, 6), {n for n in range(64) if n != 1}, 3),
+    ]
+    for monoid, unit, members, degree in spaces:
+        atoms = []
+        for coeffs in itertools.product(range(3), repeat=degree + 1):
+            a = dense_trim([c if n in members else 0 for n, c in enumerate(coeffs)])
+            if a and a[0] and box_atom_test(a, members) == (True, None) and a not in atoms:
+                atoms.append(a)
+        seen = 0
+        while seen < 12:
+            f_dense = dense_trim(dense_mul(dense_mul(rng.choice(atoms), rng.choice(atoms)), rng.choice(atoms)))
+            slots = sum(n in members for n in range(len(f_dense)))
+            if (max(f_dense) + 1) ** slots > 4096:
+                continue
+            assert_search_matches_box(f_dense, monoid, unit, members)
+            seen += 1
+
+
 def test_pruned_atom_search_finds_divisors_deep_in_the_box():
     naturals = range(10**6)
     sixths = {n for n in range(64) if n != 1}
@@ -482,16 +507,32 @@ def test_pruned_atom_search_finds_divisors_deep_in_the_box():
 def test_natural_atom_test_hard_cases():
     assert natural_atom_test(nat_poly(3, 3, 3, 3, 3, 3, 3, 1)) == (True, None)
     x_plus_1 = nat_poly(1, 1)
-    assert natural_atom_test(poly_pow(x_plus_1, 6)) == (
-        False, (x_plus_1, poly_pow(x_plus_1, 5))
+    assert natural_atom_test(x_plus_1) == (True, None)
+    for k in range(2, 10):
+        assert natural_atom_test(poly_pow(x_plus_1, k)) == (
+            False, (x_plus_1, poly_pow(x_plus_1, k - 1))
+        )
+    g = puiseux_trinomial()
+    assert natural_atom_test(poly_pow(g, 4)) == (False, (g, poly_pow(g, 3)))
+
+
+def puiseux_trinomial():
+    """``x^(1/2) + x^(1/3) + 1`` over ``<1/2, 1/3>``."""
+    return SemiringPolynomial.from_terms(
+        [(Fraction(1, 2), 1), (Fraction(1, 3), 1), (0, 1)], "N", HALF_THIRD
     )
 
 
 def test_atom_search_step_budget(monkeypatch):
-    # each coefficient the depth-first search assigns is one step
+    # each coefficient the depth-first search assigns is one step; the search
+    # decides at exactly ``steps`` and raises at one step fewer
     cases = [
-        (nat_poly(6, 7, 2, 2, 1), 31, (False, (nat_poly(1, 1), nat_poly(6, 1, 1, 1)))),
-        (nat_poly(3, 0, 0, 2), 28, (True, None)),
+        (nat_poly(6, 7, 2, 2, 1), 10, (False, (nat_poly(1, 1), nat_poly(6, 1, 1, 1)))),
+        (nat_poly(3, 0, 0, 2), 16, (True, None)),
+        (poly_pow(nat_poly(1, 1), 12), 10257, (False, (nat_poly(1, 1), poly_pow(nat_poly(1, 1), 11)))),
+        (poly_pow(nat_poly(1, 1, 1), 6), 2698, (False, (nat_poly(1, 1, 1), poly_pow(nat_poly(1, 1, 1), 5)))),
+        (poly_pow(puiseux_trinomial(), 4), 328,
+         (False, (puiseux_trinomial(), poly_pow(puiseux_trinomial(), 3)))),
     ]
     for f, steps, expected in cases:
         monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps)
