@@ -19,7 +19,12 @@ lattice points and the two directions match exactly.  In rank one, with L
 spanned by the primitive b, atom i is purely long iff sigma(b) b_i > 0 and
 purely short iff sigma(b) b_i < 0, sign(b_i) b witnessing against the other;
 higher ranks solve each system as two integer rows by
-:func:`~factolab.linalg.span_witness`, over the one integer Fourier-Motzkin core.
+:func:`~factolab.linalg.span_witness`, over the one integer Fourier-Motzkin core,
+which eliminates only the columns a live row touches and leaves the other
+variables at 0.  The two sigma rows are built once per presentation.  An
+infeasible system is certified by Farkas' closed form: atom i is purely long
+exactly when its column (b_1i, ..., b_ri) is a positive multiple of
+(sigma(b_1), ..., sigma(b_r)), purely short exactly when it is a negative one.
 Verdicts are decided by these exact criteria only; bounded searches appear
 solely in the independent oracle ``relation_evidence``.
 """
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import floor, gcd
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .linalg import InternalContradiction, LatticeBasis, parse_rational, sign_normalized, span_witness
@@ -140,25 +146,46 @@ def _balanced_kernel_vector(basis: LatticeBasis) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _rank_one_refutations(b: tuple[int, ...], i: int) -> tuple[Optional[tuple[int, ...]], ...]:
+def _rank_one_refutations(
+    b: tuple[int, ...], minus_b: tuple[int, ...], s: int, i: int
+) -> tuple[Optional[tuple[int, ...]], ...]:
     """The LP witnesses against atom i being purely long and purely short,
-    when the primitive b (integer_kernel saturates), b_i != 0, spans the kernel.
+    when the primitive b (integer_kernel saturates), b_i != 0, spans the kernel;
+    minus_b is -b and s is sigma(b).
 
     Over {t b} the long system is t b_i >= 1 and -t sigma(b) >= 0; the sigma
     row is void, bounds t by 0 on the side of 1/b_i, or cuts 1/b_i off.  So
     Fourier-Motzkin returns t = 1/b_i or nothing, and the least integer
     multiple of b / b_i is w = sign(b_i) b: w if sigma(w) <= 0, else none.
     The short system mirrors it."""
-    w = b if b[i] > 0 else tuple(-c for c in b)
-    return (w if sum(w) <= 0 else None), (w if sum(w) >= 0 else None)
+    w, s = (b, s) if b[i] > 0 else (minus_b, -s)
+    return (w if s <= 0 else None), (w if s >= 0 else None)
 
 
-def _purity_refutation(vectors, sigmas: list[int], i: int, sign: int) -> Optional[tuple[int, ...]]:
+def _sigma_rows(sigmas: list[int]) -> dict[int, tuple[int, ...]]:
+    """The sigma row (-sign sigma(b_1), ..., -sign sigma(b_r) | 0) of each sign."""
+    return {1: (*[-s for s in sigmas], 0), -1: (*sigmas, 0)}
+
+
+def _purity_refutation(vectors, sigma_rows: dict[int, tuple[int, ...]], i: int, sign: int) -> Optional[tuple[int, ...]]:
     """The LP witness against atom i being purely long (sign 1) or purely short
     (sign -1) in rank >= 2: over z = sum t_j b_j, z_i >= 1 and sign sigma(z) <= 0
-    are the integer rows (b_1i, ..., b_ri | 1) and (-sign sigma(b_1), ... | 0)."""
-    w = span_witness(((*[v[i] for v in vectors], 1), (*[-sign * s for s in sigmas], 0)), vectors)
-    if w is not None and (w[i] < 1 or sign * sum(w) > 0):
+    are the integer rows (c | 1) and (u | 0) = sigma_rows[sign], with c the
+    column (b_1i, ..., b_ri) of atom i.
+
+    Farkas' lemma certifies the case of no witness: the two rows admit no t
+    exactly when y c + y' u = 0 for some y > 0 and y' >= 0, that is, when c,
+    nonzero as atom i is not prime, is a negative multiple of u.  In integers
+    that is c . u < 0 and (c . u)^2 = (c . c)(u . u), since by Lagrange's
+    identity the difference is the sum of the squared 2 x 2 minors of c and u."""
+    column = [v[i] for v in vectors]
+    sigma_row = sigma_rows[sign]
+    w = span_witness(((*column, 1), sigma_row), vectors)
+    if w is None:
+        cu = sum(map(mul, column, sigma_row))
+        if cu >= 0 or cu * cu != sum(c * c for c in column) * sum(u * u for u in sigma_row):
+            raise InternalContradiction(f"atom {i} has no purity witness, but its column is no Farkas certificate")
+    elif w[i] < 1 or sign * sum(w) > 0:
         raise InternalContradiction(f"purity witness {w} for atom {i} violates the system it solves")
     return w
 
@@ -176,15 +203,23 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
 
     labels: list[AtomLabel] = []
     witnesses: dict[str, tuple[int, ...]] = {}
-    for i in range(k):
-        if all(v[i] == 0 for v in basis.vectors):
+    # What every atom's purity systems share is built once: -b in rank one,
+    # the two sigma rows above it.
+    if rank == 1:
+        b = basis.vectors[0]
+        minus_b = tuple(-c for c in b)
+    else:
+        sigma_rows = _sigma_rows(sigmas)
+    columns = zip(*basis.vectors) if rank else [()] * k  # atom i's column (b_1i, ..., b_ri)
+    for i, column in enumerate(columns):
+        if not any(column):
             labels.append(AtomLabel.PRIME)
             continue
         if rank == 1:
-            long_refutation, short_refutation = _rank_one_refutations(basis.vectors[0], i)
+            long_refutation, short_refutation = _rank_one_refutations(b, minus_b, sigmas[0], i)
         else:
-            long_refutation = _purity_refutation(basis.vectors, sigmas, i, 1)
-            short_refutation = _purity_refutation(basis.vectors, sigmas, i, -1)
+            long_refutation = _purity_refutation(basis.vectors, sigma_rows, i, 1)
+            short_refutation = _purity_refutation(basis.vectors, sigma_rows, i, -1)
         if long_refutation is not None:
             witnesses[f"atom{i}_not_purely_long"] = long_refutation
         if short_refutation is not None:
@@ -205,12 +240,10 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
     purely_short = tuple(i for i, lab in enumerate(labels) if lab is AtomLabel.PURELY_SHORT)
 
     if rank > 0:
-        witnesses["not_ufm"] = _orient(basis.vectors[0])
+        first = witnesses["not_ufm"] = _orient(basis.vectors[0])
     if not is_hfm:
-        for v, s in zip(basis.vectors, sigmas):
-            if s != 0:
-                witnesses["not_hfm"] = _orient(v)
-                break
+        j = next(j for j, s in enumerate(sigmas) if s)
+        witnesses["not_hfm"] = _orient(basis.vectors[j]) if j else first
     if not is_lfm:
         balanced = _balanced_kernel_vector(basis)
         if balanced is None or sum(balanced) != 0:
@@ -230,7 +263,7 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
         prime=prime,
         purely_long=purely_long,
         purely_short=purely_short,
-        master=FactorizationRelation.from_kernel_vector(_orient(basis.vectors[0])) if is_lfm and rank else None,
+        master=FactorizationRelation.from_kernel_vector(first) if is_lfm and rank else None,
         witnesses=witnesses,
     )
 

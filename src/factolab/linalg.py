@@ -238,9 +238,11 @@ def fourier_motzkin(rows: Iterable[Sequence[int]], nvars: int) -> Optional[tuple
 
     Each row is kept primitive: a positive multiple of a constraint is the
     same constraint, so that row both finds duplicates and keeps the
-    elimination in integers.  Variables are eliminated last first; each lower
-    x upper pair is a step, and more than :data:`MAX_STEPS` steps raise
-    BudgetExceeded.  Back-substitution runs on integer numerators over den.
+    elimination in integers.  Variables are eliminated last first, in one
+    pass over the live rows per column; a column that no live row touches
+    gets no level, and its variable stays 0.  Each lower x upper pair is a
+    step, and more than :data:`MAX_STEPS` steps raise BudgetExceeded.
+    Back-substitution runs on integer numerators over den, level by level.
     """
     max_steps, steps = MAX_STEPS, 0
     kept: list[IntVector] = []
@@ -250,10 +252,18 @@ def fourier_motzkin(rows: Iterable[Sequence[int]], nvars: int) -> Optional[tuple
     for j in range(nvars - 1, -1, -1):  # every row is zero past column j
         if not rows:
             break
-        lowers = [row for row in rows if row[j] > 0]
-        uppers = [row for row in rows if row[j] < 0]
-        levels.append((lowers, uppers))
-        rows = [row for row in rows if not row[j]]
+        lowers, uppers, rest = [], [], []
+        for row in rows:
+            if row[j] > 0:
+                lowers.append(row)
+            elif row[j]:
+                uppers.append(row)
+            else:
+                rest.append(row)
+        if not (lowers or uppers):
+            continue
+        levels.append((j, lowers, uppers))
+        rows = rest
         if lowers and uppers:
             steps += len(lowers) * len(uppers)
             if steps > max_steps:
@@ -265,18 +275,19 @@ def fourier_motzkin(rows: Iterable[Sequence[int]], nvars: int) -> Optional[tuple
                 return None
 
     # t = nums / den, so the bound (r - h.t)/a of a row is (r den - h.nums) / (a den);
-    # t_j is the largest lower bound, else the least upper bound, else 0.
-    nums, den = [0] * (nvars - len(levels)), 1  # no row bounds the variables left
-    for lowers, uppers in reversed(levels):
-        j, sign, best = len(nums), (1 if lowers else -1), None  # (p, q): the bound p / (q den), q > 0
+    # t_j is the largest lower bound, else the least upper bound.  A row of level
+    # j is zero past column j, and nums_j is still 0 when its bounds are read.
+    nums, den = [0] * nvars, 1
+    for j, lowers, uppers in reversed(levels):
+        sign, best = (1 if lowers else -1), None  # (p, q): the bound p / (q den), q > 0
         for row in lowers or uppers:
             p, q = sign * (row[-1] * den - sum(map(mul, row, nums))), sign * row[j]
             if best is None or sign * (p * best[1] - best[0] * q) > 0:
                 best = p, q
-        p, q = best or (0, 1)
+        p, q = best
         if q != 1:
             nums, den = [x * q for x in nums], den * q
-        nums.append(p)
+        nums[j] = p
     return nums, den
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from factolab.classify import (
     FactorizationRelation,
     _purity_refutation,
     _rank_one_refutations,
+    _sigma_rows,
     classify,
     relation_evidence,
 )
@@ -289,7 +291,7 @@ def test_rank_one_reading_matches_the_lp():
             if b[i] == 0:
                 continue
             unit = tuple(int(j == i) for j in range(k))
-            assert _rank_one_refutations(b, i) == (
+            assert _rank_one_refutations(b, tuple(-c for c in b), sum(b), i) == (
                 homogeneous_lp_witness(basis, unit, [(1,) * k]),
                 homogeneous_lp_witness(basis, unit, [(-1,) * k]),
             ), (b, i)
@@ -298,7 +300,9 @@ def test_rank_one_reading_matches_the_lp():
 
 def test_purity_refutation_matches_the_lp():
     # kernels of rank 2..12; the last matrix row is sigma - c e_j, so that
-    # sigma(z) = c z_j on the kernel and atom j is pure on one side
+    # sigma(z) = c z_j on the kernel and atom j is pure on one side.  Where the
+    # LP is infeasible, the atom's column is a positive (long) or negative
+    # (short) multiple of the sigmas: Farkas' closed form
     rng = random.Random(16)
     ranks, cases, infeasible = set(), 0, 0
     for _ in range(120):
@@ -309,16 +313,22 @@ def test_purity_refutation_matches_the_lp():
         rows[-1][rng.randrange(k)] -= rng.choice((-3, -2, -1, 1, 2, 3))
         basis = integer_kernel(rows)
         sigmas = [sum(v) for v in basis.vectors]
+        sigma_rows = _sigma_rows(sigmas)
         ranks.add(basis.rank)
         for i in range(k):
-            if not any(v[i] for v in basis.vectors):
+            column = [v[i] for v in basis.vectors]
+            if not any(column):
                 continue
             unit = tuple(int(j == i) for j in range(k))
             for sign in (1, -1):
                 expected = homogeneous_lp_witness(basis, unit, [(sign,) * k])
-                assert _purity_refutation(basis.vectors, sigmas, i, sign) == expected, (basis, i, sign)
+                assert _purity_refutation(basis.vectors, sigma_rows, i, sign) == expected, (basis, i, sign)
                 cases += 1
-                infeasible += expected is None
+                if expected is None:
+                    infeasible += 1
+                    pairs = itertools.combinations(zip(column, sigmas), 2)
+                    assert all(a * t == c * s for (a, s), (c, t) in pairs), (basis, i, sign)
+                    assert sign * sum(c * s for c, s in zip(column, sigmas)) > 0, (basis, i, sign)
     assert ranks == set(range(2, 13)) and (cases, infeasible) == (2220, 123)
 
 
@@ -460,6 +470,14 @@ def test_purity_certificate_check_raises_on_a_bad_point(monkeypatch, nums):
     # 0 misses z_0 >= 1, and (4, -3, 0) breaks sigma(z) <= 0 for atom 0 long
     monkeypatch.setattr("factolab.linalg.fourier_motzkin", lambda rows, nvars: (nums, 1))
     with pytest.raises(InternalContradiction, match="violates the system it solves"):
+        classify(numerical(3, 4, 5))
+
+
+def test_purity_farkas_check_raises_without_a_certificate(monkeypatch):
+    # every atom of (3, 4, 5) is neither purely long nor purely short, so no
+    # column is a multiple of the sigmas and an empty answer must be refused
+    monkeypatch.setattr("factolab.linalg.fourier_motzkin", lambda rows, nvars: None)
+    with pytest.raises(InternalContradiction, match="no Farkas certificate"):
         classify(numerical(3, 4, 5))
 
 

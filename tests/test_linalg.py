@@ -343,6 +343,46 @@ def test_solve_inequalities_matches_the_recursive_oracle():
     assert infeasible == 762
 
 
+def test_solve_inequalities_matches_the_oracle_on_sparse_systems():
+    # <= 10 variables and <= 8 rows with about 3/4 of the entries zero, whole
+    # zero columns, rows that vanish at the first column eliminated, void rows
+    # and positive multiples of earlier rows: elimination skips the columns no
+    # live row touches, and those variables must come back 0
+    rng = random.Random(2424)
+
+    def entry():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+
+    infeasible = skipped = 0
+    for _ in range(1500):
+        nvars = rng.randint(1, 10)
+        live = [j for j in range(nvars) if rng.random() < 0.75]
+        system = []
+        for _ in range(rng.randint(1, 8)):
+            roll = rng.random()
+            if system and roll < 0.1:
+                coeffs, rhs = rng.choice(system)
+                scale = rng.randint(1, 3)
+                system.append((tuple(c * scale for c in coeffs), rhs * scale))
+            elif roll < 0.15:
+                system.append(((0,) * nvars, rng.choice((0, -abs(entry()), entry()))))
+            else:
+                coeffs = [entry() if j in live and rng.random() < 0.35 else 0 for j in range(nvars)]
+                if live and roll < 0.3:
+                    coeffs[live[-1]] = 0
+                system.append((tuple(coeffs), rng.choice((0, 0, entry()))))
+        touched = [j for j in range(nvars) if any(coeffs[j] for coeffs, _ in system)]
+        skipped += bool(touched) and len(touched) <= touched[-1]
+        point = solve_inequalities(system, nvars)
+        assert point == recursive_solve_inequalities(system, nvars), system
+        if point is None:
+            infeasible += 1
+        else:
+            assert all(dot(coeffs, point) >= rhs for coeffs, rhs in system)
+            assert all(point[j] == 0 for j in range(nvars) if j not in touched)
+    assert (infeasible, skipped) == (364, 936)
+
+
 def test_fourier_motzkin_step_budget(monkeypatch):
     # three lower and four upper bounds on y make 12 pairs; the rows left in
     # x (-4 <= x <= 4 among them) give 8 distinct lower and 4 upper bounds,
