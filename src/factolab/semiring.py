@@ -24,7 +24,6 @@ atom-disjoint factorizations of the same length (:func:`algebra_witness`).
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -69,17 +68,22 @@ class NumericalMonoid:
     Membership is read off the Apéry set of the smallest generator ``m``:
     ``apery[r]`` is the least member congruent to ``r`` modulo ``m``, and an
     integer ``n`` is a member exactly when ``n >= apery[n % m]``, since
-    adding ``m`` keeps the residue.  The Apéry set is a shortest-path problem
-    on the ``m`` residues, whose edges add one generator; Dijkstra's
-    algorithm with a heap solves it in ``O(k m log m)`` steps for ``k``
-    generators, however far out the gaps reach (Nijenhuis, *A minimal-path
-    algorithm for the money changing problem*, Amer. Math. Monthly 86, 1979;
-    Böcker & Lipták, *A fast and simple algorithm for the money changing
-    problem*, Algorithmica 48, 2007).
+    adding ``m`` keeps the residue.  The set is built by round robin, one
+    generator ``g`` at a time: adding ``g`` splits the ``m`` residues into
+    ``gcd(g, m)`` cycles, and one walk around each cycle from its least
+    known entry settles it, so ``k`` generators take ``O(k m)`` steps
+    however far out the gaps reach (Böcker & Lipták, *A fast and simple
+    algorithm for the money changing problem*, Algorithmica 48, 2007).
+    A generator that is not an ``int`` (a ``bool`` included) raises
+    ``ValueError``.
     """
 
     def __init__(self, generators: Sequence[int]):
-        gens = tuple(sorted(set(int(g) for g in generators)))
+        gens = tuple(generators)
+        for g in gens:
+            if not isinstance(g, int) or isinstance(g, bool):
+                raise ValueError(f"generator {excerpt(repr(g))} is not an integer")
+        gens = tuple(sorted(set(gens)))
         if not gens or gens[0] < 1:
             raise ValueError("generators must be positive integers")
         if gcd(*gens) != 1:
@@ -91,19 +95,21 @@ class NumericalMonoid:
         m = gens[0]
         if m > linalg.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
             raise BudgetExceeded(f"smallest generator {excerpt(m)} exceeds the budget of {linalg.MAX_STEPS} steps")
-        apery: list[Optional[int]] = [None] * m
-        apery[0] = 0
-        heap = [(0, 0)]
-        while heap:
-            value, residue = heapq.heappop(heap)
-            if value > apery[residue]:
-                continue
-            for g in gens[1:]:
-                reach = value + g
-                r = reach % m
-                if apery[r] is None or reach < apery[r]:
-                    apery[r] = reach
-                    heapq.heappush(heap, (reach, r))
+        unknown = float("inf")
+        apery = [0] + [unknown] * (m - 1)
+        for g in gens[1:]:
+            cycles = gcd(g, m)
+            for start in range(cycles):
+                n = min(apery[start::cycles])
+                if n == unknown:  # no member reaches this cycle yet
+                    continue
+                for _ in range(m // cycles - 1):
+                    n += g
+                    p = n % m
+                    if apery[p] < n:
+                        n = apery[p]
+                    else:
+                        apery[p] = n
         self._apery = tuple(apery)
 
     @property
@@ -164,6 +170,11 @@ def monoid_elements_up_to(
 # ---------------------------------------------------------------------------
 # semiring polynomials
 # ---------------------------------------------------------------------------
+
+
+def _stored(c: Rational) -> Rational:
+    """A coefficient as ``index_terms`` holds it: an ``int`` unless fractional."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class SemiringPolynomial(linalg.Frozen):
@@ -229,7 +240,7 @@ class SemiringPolynomial(linalg.Frozen):
                 unit, numerical = _rank_one_scaling(exponent_monoid)
             if n.denominator != 1 or not numerical.contains(n.numerator):
                 raise ValueError(f"exponent {excerpt(n * unit)} lies outside the monoid")
-            kept.append((n.numerator, c.numerator if c.denominator == 1 else c))
+            kept.append((n.numerator, _stored(c)))
         kept.sort(reverse=True)  # indices are distinct, so only they are compared
         return cls(tuple(kept), coeff_domain, exponent_monoid)
 
@@ -360,6 +371,8 @@ class SemiringPolynomial(linalg.Frozen):
 def poly_mul(
     f: SemiringPolynomial, g: SemiringPolynomial
 ) -> SemiringPolynomial:
+    """``f * g``.  A product of two elements of a semiring lies in it, so the
+    terms are merged, cancelled and sorted but not validated again."""
     if not f.same_semiring(g):
         raise ValueError("cannot multiply across different semirings")
     product: dict[int, Rational] = {}
@@ -367,16 +380,24 @@ def poly_mul(
         for ng, cg in g.index_terms:
             n = nf + ng
             product[n] = product.get(n, 0) + cf * cg
-    return SemiringPolynomial._from_index_terms(
-        product.items(), f.coeff_domain, f.exponent_monoid
-    )
+    return SemiringPolynomial(tuple(
+        (n, _stored(c)) for n, c in sorted(product.items(), reverse=True) if c
+    ), f.coeff_domain, f.exponent_monoid)
 
 
 def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
-    """``f ** power`` by squaring.  A product of m and n terms is m n steps, and
-    steps past ``linalg.MAX_STEPS`` raise BudgetExceeded before they are made."""
+    """``f ** power``.  A monomial's power is built in one step; any other
+    ``f`` is raised by squaring, where a product of m and n terms is m n
+    steps, and steps past ``linalg.MAX_STEPS`` raise BudgetExceeded before
+    they are made.  A power that is not a nonnegative ``int`` raises
+    ``ValueError``."""
+    if not isinstance(power, int) or isinstance(power, bool):
+        raise ValueError(f"power {excerpt(repr(power))} is not an integer")
     if power < 0:
         raise ValueError("negative powers are not defined in a semiring")
+    if len(f.index_terms) == 1:
+        (n, c), = f.index_terms
+        return SemiringPolynomial(((n * power, _stored(c ** power)),), f.coeff_domain, f.exponent_monoid)
     result, steps = SemiringPolynomial.one(f.coeff_domain, f.exponent_monoid), 0
     while power:
         odd, power, n = power & 1, power >> 1, len(f.index_terms)

@@ -82,6 +82,32 @@ def test_numerical_monoid_agrees_with_direct_search():
             assert nm.contains(n) == (n in reachable), (gens, n)
 
 
+def test_numerical_monoid_matches_reachability_oracle():
+    # the Apéry set against plain reachability up to frontier + m; a
+    # generator g with gcd(g, m) > 1 splits the residues into several cycles
+    rng = random.Random(6017)
+    draws = [(6, 9, 20)]
+    while len(draws) < 120:
+        m = rng.randint(2, 60)
+        gens = (m, *rng.sample(range(m + 1, 4 * m), rng.randint(2, 4)))
+        if gcd(*gens) == 1:
+            draws.append(gens)
+    multi_cycle = 0
+    for gens in draws:
+        nm, m = NumericalMonoid(gens), gens[0]
+        multi_cycle += any(gcd(g, m) > 1 for g in gens[1:])
+        bound = nm.frontier + m
+        reachable = [True] + [False] * bound
+        for n in range(1, bound + 1):
+            reachable[n] = any(g <= n and reachable[n - g] for g in gens)
+        assert [nm.contains(n) for n in range(bound + 1)] == reachable, gens
+        assert nm.frontier == 0 or not reachable[nm.frontier - 1], gens
+    assert multi_cycle == 70
+    assert NumericalMonoid([6, 9, 20]).gaps() == (
+        1, 2, 3, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19, 22, 23, 25, 28, 31, 34, 37, 43
+    )
+
+
 def test_numerical_monoid_frontier_is_the_conductor():
     for a, b in [(2, 3), (3, 5), (5, 7), (8, 9), (47, 53), (97, 101)]:
         assert NumericalMonoid([a, b]).frontier == a * b - a - b + 1
@@ -122,6 +148,14 @@ def test_numerical_monoid_rejects_bad_generators():
         NumericalMonoid([0, 3])
     with pytest.raises(ValueError):
         NumericalMonoid([])
+    # a generator that is not an int is refused, never truncated
+    for bad, shown in [
+        ([2.5, 3], "2.5"), ([Fraction(5, 2), 3], "Fraction(5, 2)"), ([2, 3.9], "3.9"),
+        (["3", 5], "'3'"), ([True, 3], "True"), ([2, 10**60 + 0.5], "1e+60"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            NumericalMonoid(bad)
+        assert str(excinfo.value) == f"generator {shown} is not an integer"
 
 
 def test_numerical_monoid_size_cap(monkeypatch):
@@ -236,8 +270,9 @@ def test_poly_pow_and_additive_dunder():
     assert poly_pow(f, 3) == nat_poly(1, 3, 3, 1)
     assert poly_pow(f, 0).is_one()
     assert (nat_poly(1) + nat_poly(0, 2)) == nat_poly(1, 2)
-    with pytest.raises(ValueError):
-        poly_pow(f, -1)
+    for bad in (-1, 2.0, True, Fraction(2), "2"):
+        with pytest.raises(ValueError):
+            poly_pow(f, bad)
 
 
 def test_cross_semiring_operations_rejected():
@@ -818,6 +853,63 @@ def test_index_form_matches_dense_oracles():
                 if f and len(f) <= 7 and max(f) <= 3:
                     assert_search_matches_box(f, monoid, unit, members)
                     seen += 1
+
+
+def test_products_match_the_validated_construction():
+    # poly_mul and poly_pow skip validation, so their index form, down to the
+    # int-or-Fraction type of each coefficient, must be what from_terms builds
+    def validated(dense, domain, monoid, unit):
+        return SemiringPolynomial.from_terms(
+            [(n * unit, c) for n, c in enumerate(dense) if c], domain, monoid
+        )
+
+    def assert_same_form(got, want):
+        assert got == want
+        assert [(type(n), type(c)) for n, c in got.index_terms] == [
+            (type(n), type(c)) for n, c in want.index_terms
+        ]
+
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    fixed = [  # (f, g, domain, monoid, unit) as dense coefficient lists over the unit
+        ([1, 1], [6, 1, 1, 1], "N", None, 1),
+        ([1, 1], [-1, 1], "Q", None, 1),  # x^2 - 1: the middle term cancels
+        ([-1, 0, 1], [1, 0, 1], "Q", None, 1),  # x^4 - 1
+        ([third, half], [6, 2], "Q", None, 1),  # every coefficient comes out integral
+        ([half, -half], [2, 2], "Q", None, 1),  # 1 - x^2
+        ([1, 0, 0, 1], [0, 0, 1, 1], "N", HALF_THIRD, Fraction(1, 6)),
+        ([half, 0, 1, 0, 0, 0, -1], [0, 0, 2, 2], "Q", HALF_THIRD, Fraction(1, 6)),
+    ]
+    rng = random.Random(40961)
+    values = [-2, Fraction(-3, 2), -1, Fraction(-1, 2), Fraction(1, 2), 1, Fraction(2, 3), 2, 3]
+    sixths = [n for n in range(8) if n != 1]
+    for _ in range(80):
+        monoid, unit, indices = rng.choice([(None, 1, range(5)), (HALF_THIRD, Fraction(1, 6), sixths)])
+        domain = rng.choice("NQ")
+
+        def draw():
+            dense = [0] * (max(indices) + 1)
+            for n in rng.sample(list(indices), rng.randint(1, 3)):
+                dense[n] = rng.randint(1, 3) if domain == "N" else rng.choice(values)
+            return dense
+
+        fixed.append((draw(), draw(), domain, monoid, unit))
+    for f, g, domain, monoid, unit in fixed:
+        fp, gp = validated(f, domain, monoid, unit), validated(g, domain, monoid, unit)
+        assert_same_form(poly_mul(fp, gp), validated(dense_mul(f, g), domain, monoid, unit))
+        power = [1]
+        for k in range(4):
+            assert_same_form(poly_pow(gp, k), validated(power, domain, monoid, unit))
+            power = dense_mul(power, g)
+    for monoid in (None, HALF_THIRD):
+        for c in (1, 2, half, Fraction(-3, 2)):
+            for domain in ("N", "Q") if c in (1, 2) else ("Q",):
+                x = SemiringPolynomial.monomial(1, c, domain, monoid)
+                repeated = SemiringPolynomial.one(domain, monoid)
+                for k in range(7):
+                    power = poly_pow(x, k)
+                    assert_same_form(power, repeated)
+                    assert_same_form(power, SemiringPolynomial.monomial(k, Fraction(c) ** k, domain, monoid))
+                    repeated = poly_mul(repeated, x)
 
 
 def test_validation_messages():
