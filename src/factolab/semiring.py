@@ -11,10 +11,13 @@ come from one of two domains:
 * ``"Q"`` — rationals.  Every nonzero constant is a unit; this is the right
   ambient space for the binomial constructions below.
 
-Division is performed exactly in the ambient rational Laurent-free setting
-and then validated against the coefficient domain and exponent monoid, so a
-``None`` answer from :func:`poly_divide_exact` really means "no factorization
-with this divisor exists in the semiring".
+Outside input is validated once, when a polynomial is built from it.  Sums
+and products of elements of a semiring lie in it, so they are built without
+a second check.  Division is performed exactly in the ambient rational
+Laurent-free setting, and each quotient term is checked against the
+coefficient domain and exponent monoid as it is produced, so a ``None``
+answer from :func:`poly_divide_exact` really means "no factorization with
+this divisor exists in the semiring".
 
 The module also builds, for any coprime pair ``2 <= a < b``, a pair of
 irreducible binomials in the monoid algebra of the numerical monoid
@@ -95,7 +98,9 @@ class NumericalMonoid:
         m = gens[0]
         if m > linalg.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
             raise BudgetExceeded(f"smallest generator {excerpt(m)} exceeds the budget of {linalg.MAX_STEPS} steps")
-        unknown = float("inf")
+        # every known Apéry entry is at most (m - 1) * g_max, and a walk adds at
+        # most g_max at most m - 1 times, so no walk reaches this sentinel
+        unknown = 2 * m * gens[-1]
         apery = [0] + [unknown] * (m - 1)
         for g in gens[1:]:
             cycles = gcd(g, m)
@@ -189,8 +194,8 @@ class SemiringPolynomial(linalg.Frozen):
     form; :attr:`terms` is the ``Fraction`` view.  Build with :meth:`from_terms`.
     """
 
-    def __init__(self, index_terms: tuple[tuple[int, Rational], ...], coeff_domain: str = "N",
-                 exponent_monoid: Optional[MonoidPresentation] = None):
+    def __init__(self, index_terms: tuple[tuple[int, Rational], ...], coeff_domain: str,
+                 exponent_monoid: Optional[MonoidPresentation]):
         self.__dict__.update(index_terms=index_terms, coeff_domain=coeff_domain, exponent_monoid=exponent_monoid)
 
     def _key(self) -> tuple:
@@ -209,8 +214,6 @@ class SemiringPolynomial(linalg.Frozen):
         when a nonzero term is left, so :meth:`zero` builds over any monoid.
         A coefficient or exponent outside the semiring raises ``ValueError``.
         """
-        if coeff_domain not in ("N", "Q"):
-            raise ValueError(f"unknown coefficient domain {excerpt(repr(coeff_domain))}")
         merged: dict[Fraction, Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exponent, coefficient in items:
@@ -226,9 +229,12 @@ class SemiringPolynomial(linalg.Frozen):
     def _from_index_terms(
         cls, terms, coeff_domain: str, exponent_monoid: Optional[MonoidPresentation]
     ) -> "SemiringPolynomial":
-        """Validate merged ``(index, coefficient)`` pairs, as :meth:`from_terms`
-        does; an index is an ``int``, or from :meth:`from_terms` a ``Fraction``
-        that must be integral.  Zero coefficients are dropped."""
+        """Validate merged ``(index, coefficient)`` pairs: the one check of the
+        coefficient domain, for values from outside or that may lie outside the
+        semiring.  An index is an ``int``, or from :meth:`from_terms` a
+        ``Fraction`` that must be integral.  Zero coefficients are dropped."""
+        if coeff_domain not in ("N", "Q"):
+            raise ValueError(f"unknown coefficient domain {excerpt(repr(coeff_domain))}")
         kept = []
         numerical = None
         for n, c in terms:
@@ -278,8 +284,6 @@ class SemiringPolynomial(linalg.Frozen):
         coeff_domain: str = "N",
         exponent_monoid: Optional[MonoidPresentation] = None,
     ) -> "SemiringPolynomial":
-        if coeff_domain not in ("N", "Q"):
-            raise ValueError(f"unknown coefficient domain {excerpt(repr(coeff_domain))}")
         return cls._from_index_terms([(0, 1)], coeff_domain, exponent_monoid)
 
     def is_zero(self) -> bool:
@@ -305,11 +309,10 @@ class SemiringPolynomial(linalg.Frozen):
     def __add__(self, other: "SemiringPolynomial") -> "SemiringPolynomial":
         if not self.same_semiring(other):
             raise ValueError("cannot add across different semirings")
-        return SemiringPolynomial.from_terms(
-            list(self.terms) + list(other.terms),
-            self.coeff_domain,
-            self.exponent_monoid,
-        )
+        merged = dict(self.index_terms)
+        for n, c in other.index_terms:
+            merged[n] = merged.get(n, 0) + c
+        return _closed(self, merged)
 
     def __mul__(self, other: "SemiringPolynomial") -> "SemiringPolynomial":
         return poly_mul(self, other)
@@ -368,11 +371,20 @@ class SemiringPolynomial(linalg.Frozen):
         )
 
 
+def _closed(f: SemiringPolynomial, merged: dict[int, Rational]) -> SemiringPolynomial:
+    """The polynomial of ``f``'s semiring with the ``index: coefficient`` terms
+    of ``merged``, a sum or product of its elements and so inside it: zero
+    terms are dropped and the rest stored and sorted, with no check."""
+    return SemiringPolynomial(tuple(
+        (n, _stored(c)) for n, c in sorted(merged.items(), reverse=True) if c
+    ), f.coeff_domain, f.exponent_monoid)
+
+
 def poly_mul(
     f: SemiringPolynomial, g: SemiringPolynomial
 ) -> SemiringPolynomial:
     """``f * g``.  A product of two elements of a semiring lies in it, so the
-    terms are merged, cancelled and sorted but not validated again."""
+    terms are merged, cancelled and sorted but not checked a second time."""
     if not f.same_semiring(g):
         raise ValueError("cannot multiply across different semirings")
     product: dict[int, Rational] = {}
@@ -380,9 +392,7 @@ def poly_mul(
         for ng, cg in g.index_terms:
             n = nf + ng
             product[n] = product.get(n, 0) + cf * cg
-    return SemiringPolynomial(tuple(
-        (n, _stored(c)) for n, c in sorted(product.items(), reverse=True) if c
-    ), f.coeff_domain, f.exponent_monoid)
+    return _closed(f, product)
 
 
 def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
@@ -397,7 +407,7 @@ def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
         raise ValueError("negative powers are not defined in a semiring")
     if len(f.index_terms) == 1:
         (n, c), = f.index_terms
-        return SemiringPolynomial(((n * power, _stored(c ** power)),), f.coeff_domain, f.exponent_monoid)
+        return _closed(f, {n * power: c ** power})
     result, steps = SemiringPolynomial.one(f.coeff_domain, f.exponent_monoid), 0
     while power:
         odd, power, n = power & 1, power >> 1, len(f.index_terms)
@@ -417,18 +427,19 @@ def poly_divide_exact(
     """The unique ``h`` with ``f == g * h`` in the semiring, else ``None``.
 
     Division runs top-down by leading terms in the ambient rational setting,
-    where quotients are unique; the candidate quotient is then admitted only
-    if its coefficients fit the domain and its exponents lie in the monoid.
+    where quotients are unique, and each quotient term is checked as it is
+    produced: the first exponent outside the monoid, or over ``"N"`` the
+    first coefficient that is not a nonnegative integer, ends the division.
     The loop runs on the exponent indices of the shared monoid, so the
     leading index strictly decreases through the integers and the loop
-    ends.  Over ``"N"`` the coefficients are integers too, and the first
-    quotient coefficient that is not a nonnegative integer ends the division.
+    ends, and the quotient comes out in index form.
     """
     if not f.same_semiring(g):
         raise ValueError("cannot divide across different semirings")
     if g.is_zero():
         raise ValueError("division by zero")
     natural = f.coeff_domain == "N"
+    numerical = _rank_one_scaling(f.exponent_monoid)[1]
     (lead_exp, lead_coeff), lower = g.index_terms[0], g.index_terms[1:]
     remainder = dict(f.index_terms)
     quotient = []
@@ -437,13 +448,15 @@ def poly_divide_exact(
         if e_top < lead_exp:
             return None
         q_exp = e_top - lead_exp
+        if not numerical.contains(q_exp):
+            return None
         top = remainder.pop(e_top)
         if natural:
             q_coeff, rest = divmod(top, lead_coeff)
             if rest or q_coeff < 0:
                 return None
         else:
-            q_coeff = Fraction(top) / lead_coeff
+            q_coeff = _stored(Fraction(top) / lead_coeff)
         quotient.append((q_exp, q_coeff))
         for eg, cg in lower:
             e = q_exp + eg
@@ -452,12 +465,7 @@ def poly_divide_exact(
                 remainder[e] = value
             else:
                 remainder.pop(e, None)
-    try:
-        return SemiringPolynomial._from_index_terms(
-            quotient, f.coeff_domain, f.exponent_monoid
-        )
-    except ValueError:
-        return None
+    return SemiringPolynomial(tuple(quotient), f.coeff_domain, f.exponent_monoid)
 
 
 # ---------------------------------------------------------------------------
@@ -742,13 +750,12 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
 
     monoid = MonoidPresentation.from_values([a, b], label=f"numerical-{a}-{b}")
 
-    def binomial(high: int, low: int) -> SemiringPolynomial:
-        return SemiringPolynomial.from_terms(
-            [(high, 1), (low, -1)], "Q", monoid
-        )
+    def build(index_terms, exponent_monoid=monoid) -> SemiringPolynomial:
+        # the unit of <a, b> is 1, so an index is the exponent itself
+        return SemiringPolynomial._from_index_terms(index_terms, "Q", exponent_monoid)
 
-    a1 = binomial(r * b, s * a)
-    a2 = binomial(p * a, q * b)
+    a1 = build([(r * b, 1), (s * a, -1)])
+    a2 = build([(p * a, 1), (q * b, -1)])
     for name, poly in (("a1", a1), ("a2", a2)):
         if not binomial_irreducibility_check(poly):
             raise InternalContradiction(
@@ -762,21 +769,13 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
             "the two binomials coincide; the pair cannot be coprime"
         )
 
-    mono_a = SemiringPolynomial.monomial(a, 1, "Q", monoid)
-    mono_b = SemiringPolynomial.monomial(b, 1, "Q", monoid)
-
     # the shift x^c need not lie in the monoid algebra, so the identity
-    # relating the two binomials is checked in the ambient algebra; both
-    # have unit 1, so the indices carry over
-    def ambient(poly: SemiringPolynomial) -> SemiringPolynomial:
-        return SemiringPolynomial._from_index_terms(poly.index_terms, "Q", None)
-
-    shift = SemiringPolynomial.monomial(c, 1, "Q", None)
+    # relating the two binomials is checked in the ambient algebra Q[x]
     high, low = (a1, a2) if delta > 0 else (a2, a1)
-    if poly_mul(shift, ambient(low)) != ambient(high):
+    if poly_mul(build([(c, 1)], None), build(low.index_terms, None)) != build(high.index_terms, None):
         raise InternalContradiction(f"shift identity failed for delta = {delta}")
-    z1 = ((mono_a, c), (high, b - a))
-    z2 = ((mono_b, c), (low, b - a))
+    z1 = ((build([(a, 1)]), c), (high, b - a))
+    z2 = ((build([(b, 1)]), c), (low, b - a))
 
     product = _multiply_out(z1, monoid)
     if product != _multiply_out(z2, monoid):

@@ -287,6 +287,15 @@ def test_lp_dimension_mismatch():
     basis = LatticeBasis(2, ((3, -2),))
     with pytest.raises(DimensionMismatch):
         homogeneous_lp_witness(basis, (1, 0, 0), [])
+    for call, message in [
+        (lambda: dot((1, 2), (1, 2, 3)), "dot product of lengths 2 and 3"),
+        (lambda: solve_inequalities([((1, 0), 1)], 3), "constraint arity does not match variable count"),
+        (lambda: homogeneous_lp_witness(basis, (1, 0), [(1, 0), (1,)]), "nonstrict functional has wrong length"),
+        (lambda: LatticeBasis(2, ((3, -2), (1,))), "basis vector of wrong length"),
+    ]:
+        with pytest.raises(DimensionMismatch) as excinfo:
+            call()
+        assert excinfo.type is DimensionMismatch and str(excinfo.value) == message
 
 
 def test_solve_inequalities_back_substitution():

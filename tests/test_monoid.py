@@ -13,6 +13,7 @@ from factolab import monoid
 from factolab.classify import classify, relation_evidence
 from factolab.monoid import (
     BudgetExceeded,
+    DimensionMismatch,
     DuplicateGenerator,
     Grading,
     InvalidGenerator,
@@ -63,6 +64,9 @@ def test_validate_rejects_zero_generator():
     p = MonoidPresentation.from_generators([(2, 0), (0, 0)])
     with pytest.raises(InvalidGenerator):
         validate_presentation(p)
+    with pytest.raises(InvalidGenerator) as excinfo:
+        MonoidPresentation.from_generators([])
+    assert excinfo.type is InvalidGenerator and str(excinfo.value) == "a presentation needs at least one generator"
 
 
 def test_validate_detects_non_pointed():
@@ -274,6 +278,13 @@ def test_factorizations_sound():
     for z in zs:
         assert p.evaluate(z) == as_element(x)
     assert len(set(zs)) == len(zs)
+    for call, message in [
+        (lambda: p.evaluate((1, 2)), "exponent vector length does not match generator count"),
+        (lambda: enumerate_factorizations(p, (4,)), "element does not live in the ambient space"),
+    ]:
+        with pytest.raises(DimensionMismatch) as excinfo:
+            call()
+        assert excinfo.type is DimensionMismatch and str(excinfo.value) == message
 
 
 def naive_box_factorizations(p, x, box):

@@ -37,6 +37,21 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_floating_point_in_the_package():
+    # every number is an int or a Fraction: a float name or constant would
+    # round where the package promises exact results
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+    ]
+    assert found == []
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     imported = {}

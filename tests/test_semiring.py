@@ -248,6 +248,13 @@ def test_exponent_monoid_validation():
     SemiringPolynomial.from_terms([(5, 1), (0, 2)], "N", m23)
     with pytest.raises(ValueError):
         SemiringPolynomial.from_terms([(1, 1)], "N", m23)
+    for monoid, message in [
+        (MonoidPresentation.from_generators([(1, 0), (0, 1)]), "exponent monoids must be one-dimensional"),
+        (MonoidPresentation.from_values([0, 2]), "exponent monoid generators must be positive"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            SemiringPolynomial.from_terms([(2, 1)], "N", monoid)
+        assert excinfo.type is ValueError and str(excinfo.value) == message
 
 
 def test_identity_two_products_one_polynomial():
@@ -282,6 +289,9 @@ def test_cross_semiring_operations_rejected():
         poly_mul(f, g)
     with pytest.raises(ValueError):
         f + g
+    with pytest.raises(ValueError) as excinfo:
+        poly_divide_exact(f, g)
+    assert excinfo.type is ValueError and str(excinfo.value) == "cannot divide across different semirings"
 
 
 def test_divide_exact_recovers_factors():
@@ -696,6 +706,13 @@ def test_case1_relation_rejects_degenerate_input():
     twod = MonoidPresentation.from_generators([(1, 0), (0, 1)])
     with pytest.raises(ValueError):
         case1_relation(twod, 0, 1)
+    for values, message in [
+        ([-1, 2], "monomial atoms need positive exponents, got -1 and 2"),
+        ([2, 2], "equal exponents give only the trivial relation"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            case1_relation(MonoidPresentation.from_values(values), 0, 1)
+        assert excinfo.type is ValueError and str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +873,8 @@ def test_index_form_matches_dense_oracles():
 
 
 def test_products_match_the_validated_construction():
-    # poly_mul and poly_pow skip validation, so their index form, down to the
+    # sums, products, powers, exact quotients and the algebra witnesses are
+    # not validated a second time, so their index form, down to the
     # int-or-Fraction type of each coefficient, must be what from_terms builds
     def validated(dense, domain, monoid, unit):
         return SemiringPolynomial.from_terms(
@@ -895,7 +913,10 @@ def test_products_match_the_validated_construction():
         fixed.append((draw(), draw(), domain, monoid, unit))
     for f, g, domain, monoid, unit in fixed:
         fp, gp = validated(f, domain, monoid, unit), validated(g, domain, monoid, unit)
-        assert_same_form(poly_mul(fp, gp), validated(dense_mul(f, g), domain, monoid, unit))
+        product = poly_mul(fp, gp)
+        assert_same_form(product, validated(dense_mul(f, g), domain, monoid, unit))
+        assert_same_form(fp + gp, SemiringPolynomial.from_terms(fp.terms + gp.terms, domain, monoid))
+        assert_same_form(poly_divide_exact(product, gp), fp)
         power = [1]
         for k in range(4):
             assert_same_form(poly_pow(gp, k), validated(power, domain, monoid, unit))
@@ -910,6 +931,12 @@ def test_products_match_the_validated_construction():
                     assert_same_form(power, repeated)
                     assert_same_form(power, SemiringPolynomial.monomial(k, Fraction(c) ** k, domain, monoid))
                     repeated = poly_mul(repeated, x)
+    for b in range(3, 20):
+        for a in range(2, b):
+            if gcd(a, b) == 1:
+                w = algebra_witness(a, b)
+                for part in (w.a1, w.a2, *(factor for factor, _ in w.z1 + w.z2), w.product):
+                    assert_same_form(part, SemiringPolynomial.from_terms(part.terms, "Q", w.monoid))
 
 
 def test_validation_messages():
