@@ -132,18 +132,19 @@ def _orient(vector: tuple[int, ...]) -> tuple[int, ...]:
     return v if s > 0 else sign_normalized(v)
 
 
-def _balanced_kernel_vector(basis: LatticeBasis) -> Optional[tuple[int, ...]]:
-    """A nonzero lattice vector with coordinate sum zero, if one exists."""
+def _balanced_kernel_vector(basis: LatticeBasis) -> tuple[int, ...]:
+    """A nonzero lattice vector with coordinate sum zero, for a kernel that is
+    not length-factorial: of rank >= 2, or of rank one with sigma(b) = 0.
+    The first basis vector of sum zero is one; failing that, the rank is
+    >= 2 and sigma(b2) b1 - sigma(b1) b2 is one, nonzero as b1 and b2 are
+    independent and both sums are."""
     sigmas = [sum(v) for v in basis.vectors]
     for v, s in zip(basis.vectors, sigmas):
         if s == 0:
             return _orient(v)
-    if basis.rank >= 2:
-        b1, b2 = basis.vectors[0], basis.vectors[1]
-        s1, s2 = sigmas[0], sigmas[1]
-        mixed = tuple(s2 * a - s1 * b for a, b in zip(b1, b2))
-        return _orient(mixed)
-    return None
+    b1, b2 = basis.vectors[0], basis.vectors[1]
+    s1, s2 = sigmas[0], sigmas[1]
+    return _orient(tuple(s2 * a - s1 * b for a, b in zip(b1, b2)))
 
 
 def _rank_one_refutations(
@@ -246,7 +247,7 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
         witnesses["not_hfm"] = _orient(basis.vectors[j]) if j else first
     if not is_lfm:
         balanced = _balanced_kernel_vector(basis)
-        if balanced is None or sum(balanced) != 0:
+        if sum(balanced) != 0:
             raise InternalContradiction("not length factorial but no balanced relation")
         witnesses["not_lfm"] = balanced
 

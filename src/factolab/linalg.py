@@ -238,15 +238,20 @@ def fourier_motzkin(rows: Iterable[Sequence[int]], nvars: int) -> Optional[tuple
 
     Each row is kept primitive: a positive multiple of a constraint is the
     same constraint, so that row both finds duplicates and keeps the
-    elimination in integers.  Variables are eliminated last first, in one
-    pass over the live rows per column; a column that no live row touches
-    gets no level, and its variable stays 0.  Each lower x upper pair is a
-    step, and more than :data:`MAX_STEPS` steps raise BudgetExceeded.
+    elimination in integers.  One set holds every row of the call: a row
+    made while column j is eliminated can equal only a live row, so it finds
+    the duplicates that a set of the live rows would.  Variables are
+    eliminated last first, in one pass over the live rows per column; a
+    column that no live row touches gets no level, and its variable stays 0.
+    Each lower x upper pair is a step, and more than :data:`MAX_STEPS` steps
+    raise BudgetExceeded.
     Back-substitution runs on integer numerators over den, level by level.
     """
     max_steps, steps = MAX_STEPS, 0
     kept: list[IntVector] = []
-    if not _add_primitive(kept, set(), rows):
+    # a new row is zero from column j on; a row placed at a level is nonzero at its column >= j
+    seen: set[IntVector] = set()
+    if not _add_primitive(kept, seen, rows):
         return None
     rows, levels = kept, []
     for j in range(nvars - 1, -1, -1):  # every row is zero past column j
@@ -271,7 +276,7 @@ def fourier_motzkin(rows: Iterable[Sequence[int]], nvars: int) -> Optional[tuple
             # (rl - hl.t)/al <= t_j <= (ru - hu.t)/au with al > 0 > au; clearing
             # denominators (and one sign flip) cancels t_j:
             pairs = (tuple(low[j] * cu - up[j] * cl for cl, cu in zip(low, up)) for low in lowers for up in uppers)
-            if not _add_primitive(rows, set(rows), pairs):
+            if not _add_primitive(rows, seen, pairs):
                 return None
 
     # t = nums / den, so the bound (r - h.t)/a of a row is (r den - h.nums) / (a den);

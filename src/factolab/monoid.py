@@ -255,6 +255,8 @@ class IntegerForm:
             raise InternalContradiction("no grading found and no nonnegative kernel witness either")
         # the weights are u / low over the least common denominator ``unit``
         low = min(sum(map(mul, u, x)) for x in self.columns)
+        if low <= 0:
+            raise InternalContradiction("the grading point does not grade every generator positively")
         self.unit = math.lcm(*(low // math.gcd(w, low) for w in u))
         self.weights = tuple(w * self.unit // low for w in u)
         self.grades = tuple(sum(map(mul, self.weights, x)) for x in self.columns)
@@ -300,10 +302,11 @@ class IntegerForm:
         floors = _floors(columns, [self.grades[j] for j in free])
         return Reduction(transforms, leads, tuple(free), columns, order, floors, congruence)
 
-    def solutions(self, target: IntVector, budget: int) -> Iterator[FactorizationVector]:
-        """Every z >= 0 with X z == target, of grade ``budget`` under ``grades``,
-        in lexicographic order.  :func:`graded_walk` gives the free exponents,
-        under its step budget; each pivot exponent is an exact division."""
+    def solutions(self, target: IntVector) -> Iterator[FactorizationVector]:
+        """Every z >= 0 with X z == target, in lexicographic order.  Each has
+        the target's own grade u . target under ``grades``, which bounds the
+        walk: :func:`graded_walk` gives the free exponents, under its step
+        budget; each pivot exponent is an exact division."""
         r = self.reduction
         leads, order = r.leads, r.order
         image = [sum(map(mul, row, target)) for row in r.transforms]
@@ -316,7 +319,8 @@ class IntegerForm:
             return
         last = r.columns[-1]
         free_grades = [self.grades[j] for j in r.free]
-        for z, value, ms in graded_walk(r.columns, free_grades, budget, image, r.floors, r.congruence):
+        grade = sum(map(mul, self.weights, target))
+        for z, value, ms in graded_walk(r.columns, free_grades, grade, image, r.floors, r.congruence):
             acc = [b - v for b, v in zip(image, value)]
             for m in ms:
                 pivots = []
@@ -338,7 +342,7 @@ class IntegerForm:
         rows = (self.grades, *zip(*self.columns))
         return tuple(
             None if _atom_by_bounds(rows, (grade, *target)) else
-            next((z for z in self.solutions(target, grade) if sum(z) >= 2), None)
+            next((z for z in self.solutions(target) if sum(z) >= 2), None)
             for target, grade in zip(self.columns, self.grades)
         )
 
@@ -485,7 +489,7 @@ def enumerate_factorizations(presentation: MonoidPresentation, element: Iterable
     if any(s % c.denominator for c, s in zip(x, form.scales)):
         return ()  # a coordinate off the scaled integer grid: not in the monoid
     target = tuple(c.numerator * (s // c.denominator) for c, s in zip(x, form.scales))
-    return tuple(form.solutions(target, sum(map(mul, form.weights, target))))
+    return tuple(form.solutions(target))
 
 
 def length_set(presentation: MonoidPresentation, element: Iterable) -> set[int]:

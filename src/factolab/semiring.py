@@ -408,7 +408,7 @@ def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
     if len(f.index_terms) == 1:
         (n, c), = f.index_terms
         return _closed(f, {n * power: c ** power})
-    result, steps = SemiringPolynomial.one(f.coeff_domain, f.exponent_monoid), 0
+    result, steps = _closed(f, {0: 1}), 0
     while power:
         odd, power, n = power & 1, power >> 1, len(f.index_terms)
         steps += (len(result.index_terms) * n if odd else 0) + (n * n if power else 0)  # this round's products
@@ -574,7 +574,7 @@ def natural_atom_test(
         if (prefix == [(0, 1)] or (deg_g == top and h[0] == 1)  # g or h is one
                 or any(h[top - deg_g + 1 : top - prefix[0][0] + 1])):  # deg g + deg h > top
             continue
-        candidate = SemiringPolynomial._from_index_terms(prefix, "N", f.exponent_monoid)
+        candidate = SemiringPolynomial(tuple(reversed(prefix)), "N", f.exponent_monoid)
         quotient = poly_divide_exact(f, candidate)
         if quotient is None or quotient.is_one():
             raise InternalContradiction(f"divisor {candidate} passed the integer check but not the division")
@@ -718,7 +718,7 @@ class AlgebraWitness(NamedTuple):
 
 def _multiply_out(factors, monoid: MonoidPresentation) -> SemiringPolynomial:
     """The product of ``poly ** multiplicity`` over the (poly, multiplicity) pairs."""
-    result = SemiringPolynomial.one("Q", monoid)
+    result = SemiringPolynomial(((0, 1),), "Q", monoid)
     for poly, multiplicity in factors:
         result = poly_mul(result, poly_pow(poly, multiplicity))
     return result

@@ -6,12 +6,14 @@ import importlib
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from factolab.classify import (
     AtomLabel,
     FactorizationRelation,
+    _balanced_kernel_vector,
     _purity_refutation,
     _rank_one_refutations,
     _sigma_rows,
@@ -287,6 +289,8 @@ def test_rank_one_reading_matches_the_lp():
         b = basis.vectors[0]
         balanced += sum(b) == 0
         mixed += min(b) < 0
+        if sum(b) == 0:  # the lattice is Z b, so its primitive vectors are b and -b
+            assert _balanced_kernel_vector(basis) in (b, tuple(-c for c in b)), b
         for i in range(k):
             if b[i] == 0:
                 continue
@@ -315,6 +319,9 @@ def test_purity_refutation_matches_the_lp():
         sigmas = [sum(v) for v in basis.vectors]
         sigma_rows = _sigma_rows(sigmas)
         ranks.add(basis.rank)
+        # the kernel is saturated, so a vector of it is a lattice vector
+        v = _balanced_kernel_vector(basis)
+        assert any(v) and sum(v) == 0 and not any(sum(map(mul, row, v)) for row in rows), basis
         for i in range(k):
             column = [v[i] for v in basis.vectors]
             if not any(column):

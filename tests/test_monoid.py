@@ -11,6 +11,7 @@ import pytest
 
 from factolab import monoid
 from factolab.classify import classify, relation_evidence
+from factolab.linalg import InternalContradiction
 from factolab.monoid import (
     BudgetExceeded,
     DimensionMismatch,
@@ -172,6 +173,25 @@ def test_fourier_motzkin_grading_is_built_on_first_use():
     assert "grading" not in vars(form)
     assert validate_presentation(p) == Grading((Fraction(7), Fraction(3)))
     assert validate_presentation(p) is form.grading
+
+
+@pytest.mark.parametrize("nums", [[0, 0], [1, 0], [-1, 5]])
+def test_grading_point_check_raises(monkeypatch, nums):
+    # the scaled columns are (1, -6), (0, 1) and (2, -9): each point grades one
+    # of them by 0 or less, which used to divide by zero or grade a generator negatively
+    monkeypatch.setattr("factolab.monoid.fourier_motzkin", lambda rows, nvars: (nums, 1))
+    p = MonoidPresentation.from_generators(INTEGER_FORM_CASES["Fourier-Motzkin"][0])
+    with pytest.raises(InternalContradiction) as exc:
+        classify(p)
+    assert str(exc.value) == "the grading point does not grade every generator positively"
+
+
+def test_not_pointed_check_raises_without_a_witness(monkeypatch):
+    monkeypatch.setattr("factolab.monoid.homogeneous_lp_witness", lambda *args: None)
+    p = MonoidPresentation.from_generators([(1, 0), (-1, 0)])
+    with pytest.raises(InternalContradiction) as exc:
+        validate_presentation(p)
+    assert str(exc.value) == "no grading found and no nonnegative kernel witness either"
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +689,7 @@ def test_atom_bounds_agree_with_the_unbounded_walk(monkeypatch):
         for x, g, atom in zip(form.columns, form.grades, bound_verdicts(form)):
             if atom:
                 claimed += 1
-                assert all(sum(z) < 2 for z in form.solutions(x, g)), gens
+                assert all(sum(z) < 2 for z in form.solutions(x)), gens
     assert claimed >= 3000
 
 

@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from factolab.linalg import InternalContradiction
 from factolab.monoid import BudgetExceeded, MonoidPresentation, NotAnAtom
 from factolab.semiring import (
     InvalidPair,
@@ -587,6 +588,14 @@ def test_atom_search_step_budget(monkeypatch):
             natural_atom_test(f)
 
 
+def test_atom_search_certificate_check_raises(monkeypatch):
+    f = SemiringPolynomial.from_terms([(2, 1), (1, 2), (0, 1)])
+    monkeypatch.setattr("factolab.semiring.poly_divide_exact", lambda f, g: None)
+    with pytest.raises(InternalContradiction) as exc:
+        natural_atom_test(f)
+    assert str(exc.value) == "divisor x + 1 passed the integer check but not the division"
+
+
 def test_natural_atom_test_rejects_rational_domain():
     with pytest.raises(ValueError):
         natural_atom_test(SemiringPolynomial.from_terms([(1, 1)], "Q"))
@@ -774,6 +783,19 @@ def test_algebra_witness_all_coprime_pairs_to_9():
         assert z1_atoms.isdisjoint(z2_atoms)
         assert sum(m for _, m in w.z1) == sum(m for _, m in w.z2)
         assert sum(m for _, m in w.z1) == w.factorization_length
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("binomial_irreducibility_check", lambda f: False, "a1 admits a monomial divisor for pair (2, 3)"),
+    ("poly_mul", lambda f, g: f, "shift identity failed for delta = -1"),
+    # z1 starts with x^2 and z2 with x^3
+    ("_multiply_out", lambda factors, monoid: factors[0][0], "the two factorizations disagree"),
+])
+def test_algebra_witness_certificate_checks_raise(monkeypatch, name, fake, message):
+    monkeypatch.setattr(f"factolab.semiring.{name}", fake)
+    with pytest.raises(InternalContradiction) as exc:
+        algebra_witness(2, 3)
+    assert str(exc.value) == message
 
 
 def test_algebra_witness_rejects_bad_pairs():
