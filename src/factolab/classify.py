@@ -32,17 +32,21 @@ solely in the independent oracle ``relation_evidence``.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations, product
 from math import floor, gcd
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .linalg import InternalContradiction, LatticeBasis, parse_rational, sign_normalized, span_witness
-from .monoid import (
-    FactorizationVector,
-    MonoidPresentation,
-    graded_walk,
-    require_atoms,
+from . import linalg
+from .linalg import (
+    BudgetExceeded,
+    InternalContradiction,
+    LatticeBasis,
+    parse_rational,
+    sign_normalized,
+    span_witness,
 )
+from .monoid import FactorizationVector, MonoidPresentation, require_atoms
 
 FINITENESS_NOTE = (
     "finite factorization and bounded factorization hold automatically for "
@@ -271,45 +275,84 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
 
 def relation_evidence(presentation: MonoidPresentation, bound) -> list[FactorizationRelation]:
     """All irredundant relations of grade <= bound under the validated grading,
-    by raw element grouping.
+    the long (or lexicographically larger) side first, sorted by grade,
+    element, left and right side.  A brute-force oracle: it never touches
+    the kernel lattice.
 
-    This is the package's bounded brute-force oracle: it never touches the
-    kernel lattice.  Exponent vectors within the grade budget are grouped by
-    the element they evaluate to, and every support-disjoint pair in a group
-    is reported (long or lexicographically larger side first).  Relations are
-    sorted by grade, then element, then left side.  The walk raises
-    BudgetExceeded past its budget (see :func:`~factolab.monoid.graded_walk`).
+    For the integer grade budget, an element x of grade <= budget has
+    |x_r| < B / 2, where B = 2 * budget * max|X| + 1 over every entry of every
+    column, so its key sum_r x_r * B**(d - 1 - r) identifies it and sorts as
+    x does.
 
-    Each integer column x of the form is walked as the one integer
-    sum_r x_r * B**(d - 1 - r), with B = 2 * budget * max|X| + 1 for the
-    integer grade budget and the largest entry X of any column.  Every grade
-    is at least 1, so an element of grade <= budget has |x_r| <=
-    budget * max|X| < B / 2: its key is a balanced base-B numeral with the
-    coordinates as digits, which is injective on these elements and orders
-    them as their tuples do.
+    A prefix is an exponent vector of grade <= budget on the generators but
+    the least-grade t.  If it evaluates to x, its class is x - q t with
+    q = x_i // t_i for the first i where t_i != 0, kept as a key that may
+    merge classes but never splits one.  At most one side of an irredundant
+    relation uses t, so the relation is a pair of prefixes of disjoint
+    supports in one class, the side of smaller q taking the difference of
+    the quotients in copies of t.  Conversely such a pair is a relation when
+    that side keeps grade <= budget, as equal keys within the budget are
+    equal elements.  The pair determines the relation, so each is found
+    once.  (Classes modulo key(t) would merge all prefixes when key(t) is 1,
+    as for the last unit vector.)
+
+    A step is a prefix, a pair of overlapping support masks in one class, or
+    a pair of prefixes of disjoint supports.  More than
+    ``factolab.linalg.MAX_STEPS`` steps raise BudgetExceeded, and each level
+    of prefixes is sized against that before it is built.
     """
     form = require_atoms(presentation)
     budget = floor(parse_rational(bound) * form.unit)
+    if budget < 1:  # below the grade of any generator, and the keys need B > 1
+        return []
+    max_steps = linalg.MAX_STEPS
+    over_budget = f"search exceeded its budget of {max_steps} steps"
+    grades = form.grades
     radix = 2 * budget * max(abs(c) for x in form.columns for c in x) + 1
-    keys = [(sum(c * radix**r for r, c in enumerate(reversed(x))),) for x in form.columns]
-    groups: dict[int, list[FactorizationVector]] = {}
-    last = keys[-1][0]
-    for z, value, ms in graded_walk(keys, form.grades, budget):
-        for m in ms:
-            z[-1] = m
-            groups.setdefault(value[0] + m * last, []).append(tuple(z))
+    keys = [sum(c * radix**r for r, c in enumerate(reversed(x))) for x in form.columns]
+    t = grades.index(min(grades))
+    i = next(r for r, c in enumerate(form.columns[t]) if c)  # a coordinate that t moves
+    prefixes = [((), 0, 0, 0, 0)]  # (exponents on the generators but t, key, coordinate i, grade, support)
+    for j, (x, key, grade) in enumerate(zip(form.columns, keys, grades)):
+        if j == t:
+            continue
+        if len(prefixes) + sum((budget - used) // grade for _, _, _, used, _ in prefixes) > max_steps:
+            raise BudgetExceeded(over_budget)
+        c, bit = x[i], 1 << j
+        prefixes = [
+            (z + (m,), value + m * key, coordinate + m * c, used + m * grade, mask | bit if m else mask)
+            for z, value, coordinate, used, mask in prefixes
+            for m in range((budget - used) // grade + 1)
+        ]
 
+    key_t, lead, grade_t = keys[t], form.columns[t][i], grades[t]
+    classes: dict[int, list] = {}
+    for prefix in prefixes:
+        _, value, coordinate, _, _ = prefix
+        classes.setdefault(value - coordinate // lead * key_t, []).append(prefix)
+    steps = len(prefixes)
     # Scaled grades and element keys sort as the rational grades and elements do.
     found: list[tuple] = []
-    for element, members in groups.items():
+    for members in classes.values():
         if len(members) < 2:
             continue
-        grade = sum(m * g for m, g in zip(members[0], form.grades))
-        for a, z1 in enumerate(members):
-            for z2 in members[a + 1 :]:
-                if any(x and y for x, y in zip(z1, z2)):
-                    continue
-                pair = (z2, z1) if (sum(z1), z1) < (sum(z2), z2) else (z1, z2)
-                found.append((grade, element, FactorizationRelation(*pair)))
-    found.sort(key=lambda item: (item[0], item[1], item[2].left))
+        supports: dict[int, list] = {}
+        for prefix in members:
+            supports.setdefault(prefix[-1], []).append(prefix)  # by support mask
+        for (mask1, side1), (mask2, side2) in combinations(supports.items(), 2):
+            disjoint = not mask1 & mask2
+            steps += len(side1) * len(side2) if disjoint else 1
+            if steps > max_steps:
+                raise BudgetExceeded(over_budget)
+            if not disjoint:
+                continue
+            for one, other in product(side1, side2):
+                s = (one[1] - other[1]) // key_t  # the difference of the quotients, exact in a class
+                (z, value, _, used, _), (z_low, _, _, used_low, _) = (one, other) if s >= 0 else (other, one)
+                s = abs(s)
+                if used_low + s * grade_t <= budget:
+                    a, b = z[:t] + (0,) + z[t:], z_low[:t] + (s,) + z_low[t:]
+                    pair = (a, b) if (sum(a), a) > (sum(b), b) else (b, a)
+                    found.append((used, value, FactorizationRelation(*pair)))
+    found.sort()
     return [rel for _, _, rel in found]

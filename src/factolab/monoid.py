@@ -403,8 +403,7 @@ def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> Optional[tup
 
 def graded_walk(
     columns: Sequence[IntVector], grades: Sequence[int], budget: int,
-    image: Sequence[int] = (), floors: Optional[tuple] = None,
-    congruence: tuple[int, int, int, int] = (0, 1, 1, 0),
+    image: Sequence[int], floors: Optional[tuple], congruence: tuple[int, int, int, int],
 ) -> Iterator[tuple[list[int], list[int], range]]:
     """Yield (z, sum_j z_j * columns[j], ms) for every exponent vector z on all
     columns but the last with grade <= budget, in lexicographic order, whose
@@ -415,14 +414,13 @@ def graded_walk(
     ``ms``: the m of grade at most the grade left that solve w m = acc (mod
     lead) in one pivot row, where acc = image - value.  ``congruence`` is
     ``(row, gcd, step, inverse)``: gcd = gcd(w, lead) divides acc[row], and
-    m = acc[row] / gcd * inverse (mod step), where step = lead / gcd.  The
-    default ``(0, 1, 1, 0)`` gives every m.  ``z`` and the value are the
-    walk's own lists, changed by the next step, so a caller copies what it
-    keeps.  With ``floors`` (see :func:`_floors`), a prefix set last at
-    position p whose acc some entry of floors[p + 1] proves dead is skipped
-    with its subtree.  Each prefix reached, dead or not, and each candidate
-    is a step; more than ``factolab.linalg.MAX_STEPS`` steps raise
-    BudgetExceeded.
+    m = acc[row] / gcd * inverse (mod step), where step = lead / gcd.  ``z``
+    and the value are the walk's own lists, changed by the next step, so a
+    caller copies what it keeps.  With ``floors`` (see :func:`_floors`), a
+    prefix set last at position p whose acc some entry of floors[p + 1]
+    proves dead is skipped with its subtree.  Each prefix reached, dead or
+    not, and each candidate is a step; more than
+    ``factolab.linalg.MAX_STEPS`` steps raise BudgetExceeded.
     """
     if budget < 0:
         return
@@ -431,7 +429,6 @@ def graded_walk(
     max_steps, steps = linalg.MAX_STEPS, 0
     z = [0] * len(columns)
     value = [0] * len(columns[0])
-    image = image or [0] * len(value)
     floors = floors or ((),) * len(columns)
     left = budget
     i = -1  # the position set last (-1 at the root); every later one is 0

@@ -236,13 +236,38 @@ def test_relation_evidence_respects_bound_and_order():
 
 
 def test_relation_evidence_step_budget(monkeypatch):
-    # 21 prefixes of the walk and 154 candidates for the last exponent
+    # t is 2: 14 prefixes m * 3 of grade <= 20, and in the class of the even m
+    # the zero prefix against each of the 6 others, the only disjoint supports
     p = numerical(2, 3)
-    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 175)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 20)
     assert len(relation_evidence(p, 20)) == 6
-    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 174)
-    with pytest.raises(BudgetExceeded, match="budget of 174 steps"):
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 19)
+    with pytest.raises(BudgetExceeded, match="budget of 19 steps"):
         relation_evidence(p, 20)
+
+
+def test_relation_evidence_classes_are_exact_in_three_dimensions(monkeypatch):
+    # t = (0, 0, 1) has key 1, so classes modulo key(t) would hold every
+    # prefix (329 steps); the classes x - x_2 t are the pairs (x_0, x_1)
+    p = MonoidPresentation.from_generators([(2, 0, 0), (3, 0, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1)])
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 48)
+    assert len(relation_evidence(p, 8)) == 3
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 47)
+    with pytest.raises(BudgetExceeded, match="budget of 47 steps"):
+        relation_evidence(p, 8)
+
+
+def test_relation_evidence_on_6_9_20_is_decided_within_budget(monkeypatch):
+    # grouping every factorization of grade <= 250 and scanning all pairs took
+    # minutes; the prefixes on 9 and 20, in classes modulo 6, take < 10**4 steps
+    p = numerical(6, 9, 20)
+    assert len(relation_evidence(p, 400)) == 8080
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**5)
+    rels = relation_evidence(p, 250)
+    assert len(rels) == 3175
+    for rel in rels:
+        assert rel.is_irredundant and p.evaluate(rel.left) == p.evaluate(rel.right)
+        assert p.evaluate(rel.left)[0] <= 6 * 250
 
 
 def test_relation_evidence_keys_are_injective():
@@ -269,6 +294,50 @@ def test_relation_evidence_matches_the_box_under_the_validated_grading():
             relations += len(want)
         presentations += 1
     assert relations >= 40, relations
+
+
+@pytest.mark.parametrize("generators, bound", [
+    ([(3,), (5,), (7,)], 20),
+    ([(4,), (6,), (9,)], 20),
+    ([(5,), (7,), (11,)], 20),
+    ([(6,), (9,), (20,)], 20),
+    ([(0, 1), (1, 1), (2, 1)], 20),
+    ([(0, 1), (1, 1), (2, 1), (3, 1)], 16),
+    ([(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)], 12),
+    ([(2, 0, 0), (3, 0, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1)], 12),
+])
+def test_relation_evidence_matches_the_box_at_larger_bounds(generators, bound):
+    # classes of the least-grade generator then hold many prefixes each
+    q = MonoidPresentation.from_generators(generators)
+    want = box_relations(q.generators, validate_presentation(q).grade, bound)
+    assert [(r.left, r.right) for r in relation_evidence(q, bound)] == want
+    assert len(want) >= 5
+
+
+def test_relation_evidence_commutes_with_permuting_generators():
+    # two generators tie for the least coordinate sum, so a permutation can
+    # change which of them closes the relations
+    rng = random.Random(2929)
+    relations = 0
+    for _ in range(60):
+        d, low = rng.randint(2, 3), rng.randint(1, 2)
+        tied = rng.sample([v for v in itertools.product(range(low + 1), repeat=d) if sum(v) == low], 2)
+        others = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(2, 5))]
+        gens = set(tied) | {v for v in others if sum(v) > low}
+        p = normalize_atoms(MonoidPresentation.from_generators(sorted(gens)))
+        k = p.atom_count
+        perm = rng.sample(range(k), k)
+        q = MonoidPresentation.from_generators([p.generators[i] for i in perm])
+        inverse = sorted(range(k), key=perm.__getitem__)
+        bound = rng.choice((7, Fraction(17, 2), 10))
+
+        def unordered(rels, order):
+            return {frozenset(tuple(side[j] for j in order) for side in rel) for rel in rels}
+
+        rels = relation_evidence(p, bound)
+        assert unordered(relation_evidence(q, bound), inverse) == unordered(rels, range(k)), (p, perm)
+        relations += len(rels)
+    assert relations >= 300, relations
 
 
 def test_rank_one_reading_matches_the_lp():

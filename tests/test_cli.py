@@ -146,8 +146,8 @@ def test_analyze_over_the_fourier_motzkin_budget_exits_3(tmp_path, monkeypatch, 
 
 
 def test_evidence_over_budget_exits_3(p23):
-    # the first prefix of the walk alone has millions of last exponents, or
-    # more than len() can count
+    # the prefixes on the generator 3 alone number millions, or more than
+    # len() can count: they are counted before any is built
     for bound in ("10000000", str(10**30)):
         result = run_cli("evidence", p23, "--bound", bound, timeout=10)
         assert result.returncode == 3, result.stderr
