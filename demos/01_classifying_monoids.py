@@ -53,7 +53,8 @@ print("factorizations of 12:", enumerate_factorizations(pair, (12,)))
 print("length set of 12:", sorted(length_set(pair, (12,))))
 
 ###############################################################################
-# A brute-force cross-check that never looks at the kernel: list every
+# A cross-check that never looks at the kernel, pairing prefixes within
+# residue classes of the least-grade generator: list every
 # irredundant relation (two factorizations of the same element sharing no
 # atom) up to grade 20.  For this monoid they are exactly the multiples of
 # the master relation.

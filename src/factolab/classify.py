@@ -122,14 +122,9 @@ class ClassificationReport(NamedTuple):
         }
 
 
-def _primitive(vector: tuple[int, ...]) -> tuple[int, ...]:
-    g = gcd(*vector)
-    return tuple(c // g for c in vector) if g > 1 else vector
-
-
-def _orient(vector: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive vector with sigma > 0, or first nonzero entry > 0 if balanced."""
-    v = _primitive(vector)
+def _orient(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive v with sigma > 0, or first nonzero entry > 0 if balanced.
+    Every vector of a saturated basis is primitive."""
     s = sum(v)
     if s < 0:
         return tuple(-c for c in v)
@@ -140,15 +135,17 @@ def _balanced_kernel_vector(basis: LatticeBasis) -> tuple[int, ...]:
     """A nonzero lattice vector with coordinate sum zero, for a kernel that is
     not length-factorial: of rank >= 2, or of rank one with sigma(b) = 0.
     The first basis vector of sum zero is one; failing that, the rank is
-    >= 2 and sigma(b2) b1 - sigma(b1) b2 is one, nonzero as b1 and b2 are
-    independent and both sums are."""
+    >= 2 and sigma(b2) b1 - sigma(b1) b2 over its gcd is one, nonzero as b1
+    and b2 are independent and both sums are."""
     sigmas = [sum(v) for v in basis.vectors]
     for v, s in zip(basis.vectors, sigmas):
         if s == 0:
             return _orient(v)
     b1, b2 = basis.vectors[0], basis.vectors[1]
     s1, s2 = sigmas[0], sigmas[1]
-    return _orient(tuple(s2 * a - s1 * b for a, b in zip(b1, b2)))
+    v = [s2 * a - s1 * b for a, b in zip(b1, b2)]
+    g = gcd(*v)
+    return _orient(tuple(c // g for c in v))
 
 
 def _rank_one_refutations(
@@ -276,8 +273,9 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
 def relation_evidence(presentation: MonoidPresentation, bound) -> list[FactorizationRelation]:
     """All irredundant relations of grade <= bound under the validated grading,
     the long (or lexicographically larger) side first, sorted by grade,
-    element, left and right side.  A brute-force oracle: it never touches
-    the kernel lattice.
+    element, left and right side.  An oracle that never touches the kernel
+    lattice: it pairs prefixes within residue classes of the least-grade
+    generator.
 
     For the integer grade budget, an element x of grade <= budget has
     |x_r| < B / 2, where B = 2 * budget * max|X| + 1 over every entry of every

@@ -192,7 +192,7 @@ def validate_presentation(presentation: MonoidPresentation) -> Grading:
 
 
 # ---------------------------------------------------------------------------
-# the integer form and the graded walk
+# the integer form and its search
 # ---------------------------------------------------------------------------
 
 
@@ -201,7 +201,7 @@ class Reduction(NamedTuple):
     column first.  A free column then lies in the span of the pivot columns
     after it, so a lexicographic walk of the free exponents is lexicographic in
     z.  The last free exponent m solves w m = acc (mod lead) in one pivot row:
-    ``congruence`` is the :func:`graded_walk` congruence of that row.
+    ``congruence`` is the :meth:`IntegerForm.solutions` congruence of that row.
     ``floors``: :func:`_floors` under the form's grades."""
 
     transforms: tuple[IntVector, ...]  # T; its rows past the pivot rows vanish on X
@@ -209,7 +209,7 @@ class Reduction(NamedTuple):
     free: IntVector  # the free column indices
     columns: tuple[IntVector, ...]  # the free columns of R
     order: IntVector  # puts the free, then the pivot exponents in column order
-    floors: Optional[tuple]
+    floors: tuple
     congruence: tuple[int, int, int, int]
 
 
@@ -303,42 +303,87 @@ class IntegerForm:
         return Reduction(transforms, leads, tuple(free), columns, order, floors, congruence)
 
     def solutions(self, target: IntVector) -> Iterator[FactorizationVector]:
-        """Every z >= 0 with X z == target, in lexicographic order.  Each has
-        the target's own grade u . target under ``grades``, which bounds the
-        walk: :func:`graded_walk` gives the free exponents, under its step
-        budget; each pivot exponent is an exact division."""
-        r = self.reduction
-        leads, order = r.leads, r.order
-        image = [sum(map(mul, row, target)) for row in r.transforms]
-        if any(image[len(leads):]):  # outside the span of the columns
+        """Every z >= 0 with X z == target, in lexicographic order.
+
+        Each z has the target's own grade u . target under ``grades``, which
+        caps every free exponent at that grade over its column's.  The free
+        exponents before the last are walked in lexicographic order: the
+        search of Contejean and Devie, bounded by the grade.  ``acc`` is what
+        the prefix leaves of the target's image T target, and ``left`` what it
+        leaves of the grade.  A prefix set last at position p whose acc some
+        entry of ``floors[p + 1]`` proves dead is skipped with its subtree
+        (see :func:`_floors`).  The last free exponent m takes each value of
+        grade at most ``left`` that solves w m = acc (mod lead) in one pivot
+        row: with ``congruence`` = ``(row, gcd, step, inverse)``, gcd =
+        gcd(w, lead) divides acc[row], and m = acc[row] / gcd * inverse
+        (mod step), where step = lead / gcd.  Each pivot exponent is then an
+        exact division.  Each prefix reached, dead or not, and each candidate
+        for m is a step; more than ``factolab.linalg.MAX_STEPS`` steps raise
+        BudgetExceeded."""
+        transforms, leads, free, columns, order, floors, congruence = self.reduction
+        acc = [sum(map(mul, row, target)) for row in transforms]
+        if any(acc[len(leads):]):  # outside the span of the columns
             return
-        if not r.free:  # independent columns: one candidate
-            pivots = [divmod(b, lead) for b, lead in zip(image, leads)]
+        if not free:  # independent columns: one candidate
+            pivots = [divmod(b, lead) for b, lead in zip(acc, leads)]
             if all(not rest and q >= 0 for q, rest in pivots):
                 yield tuple(pivots[j][0] for j in order)
             return
-        last = r.columns[-1]
-        free_grades = [self.grades[j] for j in r.free]
-        grade = sum(map(mul, self.weights, target))
-        for z, value, ms in graded_walk(r.columns, free_grades, grade, image, r.floors, r.congruence):
-            acc = [b - v for b, v in zip(image, value)]
+        left = sum(map(mul, self.weights, target))
+        if left < 0:
+            return
+        grades = [self.grades[j] for j in free]
+        row, g, step, inverse = congruence
+        last, last_grade, w = len(columns) - 1, grades[-1], columns[-1]
+        max_steps, steps = linalg.MAX_STEPS, 0
+        z = [0] * len(columns)
+        i = -1  # the position set last (-1 at the root); every later one is 0
+        while True:
+            ms = range(0)
+            steps += 1
+            for r, num, den in floors[i + 1]:
+                if acc[r] * den < left * num:
+                    break  # a dead prefix
+            else:
+                i = last - 1
+                a, rest = divmod(acc[row], g)
+                first, top = a * inverse % step, left // last_grade
+                if not rest and first <= top:
+                    ms = range(first, top + 1, step)
+                    steps += (top - first) // step + 1  # len(ms), which overflows past sys.maxsize
+            if steps > max_steps:
+                raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
             for m in ms:
                 pivots = []
-                for b, w, lead in zip(acc, last, leads):
-                    q, rest = divmod(b - w * m, lead)
+                for b, c, lead in zip(acc, w, leads):
+                    q, rest = divmod(b - c * m, lead)
                     if rest or q < 0:
                         break
                     pivots.append(q)
                 else:
                     z[-1] = m
                     yield tuple(map((z + pivots).__getitem__, order))
+            # the lexicographic successor of the prefix z[:last] within the
+            # grade; after a dead prefix, the first one past its subtree
+            while i >= 0 and left < grades[i]:
+                left += z[i] * grades[i]
+                for r, c in enumerate(columns[i]):
+                    acc[r] += z[i] * c
+                z[i] = 0
+                i -= 1
+            if i < 0:
+                return
+            z[i] += 1
+            left -= grades[i]
+            for r, c in enumerate(columns[i]):
+                acc[r] -= c
 
     @cached_property
     def atom_defects(self) -> tuple[Optional[FactorizationVector], ...]:
         """Per generator, its lexicographically first decomposition of length
         >= 2, or None when it is an atom.  :func:`_atom_by_bounds` settles most
         atoms; the walk of every other generator stops at its first
-        decomposition, under the budget of :func:`graded_walk`."""
+        decomposition, under the budget of :meth:`solutions`."""
         rows = (self.grades, *zip(*self.columns))
         return tuple(
             None if _atom_by_bounds(rows, (grade, *target)) else
@@ -379,15 +424,15 @@ def _atom_by_bounds(rows: Sequence[IntVector], target: IntVector) -> bool:
     return False
 
 
-def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> Optional[tuple]:
+def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> tuple:
     """Per walk position p >= -1, at index p + 1: ``(i, num, den)`` for each
     pivot row i, where num / den = min(0, min_{j>p} columns[j][i] / grades[j]).
     The exponents after p, of grade <= left, add at least left * num / den to
-    row i, so a prefix with acc_i < left * num / den is dead.  None in rank one,
-    where acc is a positive multiple of the grade left and never cuts first,
-    and for one free column, whose lone root the leaf rule settles anyway."""
+    row i, so a prefix with acc_i < left * num / den is dead.  No entries in
+    rank one, where acc is a positive multiple of the grade left and never cuts
+    first, nor for one free column, whose lone root the leaf rule settles."""
     if len(columns) < 2 or len(columns[0]) == 1:
-        return None
+        return ((),) * len(columns)
     floors = []
     for q in range(len(columns)):
         bounds = []
@@ -401,70 +446,6 @@ def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> Optional[tup
     return tuple(floors)
 
 
-def graded_walk(
-    columns: Sequence[IntVector], grades: Sequence[int], budget: int,
-    image: Sequence[int], floors: Optional[tuple], congruence: tuple[int, int, int, int],
-) -> Iterator[tuple[list[int], list[int], range]]:
-    """Yield (z, sum_j z_j * columns[j], ms) for every exponent vector z on all
-    columns but the last with grade <= budget, in lexicographic order, whose
-    last exponent has a candidate: ``ms`` is the nonempty range of them.
-
-    The grades are positive integers and cap every exponent at
-    budget // grades[j].  The caller sets the last exponent z[-1] to each m in
-    ``ms``: the m of grade at most the grade left that solve w m = acc (mod
-    lead) in one pivot row, where acc = image - value.  ``congruence`` is
-    ``(row, gcd, step, inverse)``: gcd = gcd(w, lead) divides acc[row], and
-    m = acc[row] / gcd * inverse (mod step), where step = lead / gcd.  ``z``
-    and the value are the walk's own lists, changed by the next step, so a
-    caller copies what it keeps.  With ``floors`` (see :func:`_floors`), a
-    prefix set last at position p whose acc some entry of floors[p + 1]
-    proves dead is skipped with its subtree.  Each prefix reached, dead or
-    not, and each candidate is a step; more than
-    ``factolab.linalg.MAX_STEPS`` steps raise BudgetExceeded.
-    """
-    if budget < 0:
-        return
-    row, g, step, inverse = congruence
-    last, last_grade = len(columns) - 1, grades[-1]
-    max_steps, steps = linalg.MAX_STEPS, 0
-    z = [0] * len(columns)
-    value = [0] * len(columns[0])
-    floors = floors or ((),) * len(columns)
-    left = budget
-    i = -1  # the position set last (-1 at the root); every later one is 0
-    while True:
-        ms = None
-        steps += 1
-        for r, num, den in floors[i + 1]:
-            if (image[r] - value[r]) * den < left * num:
-                break  # a dead prefix
-        else:
-            i = last - 1
-            a, rest = divmod(image[row] - value[row], g)
-            first, top = a * inverse % step, left // last_grade
-            if not rest and first <= top:
-                ms = range(first, top + 1, step)
-                steps += (top - first) // step + 1  # len(ms), which overflows past sys.maxsize
-        if steps > max_steps:
-            raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
-        if ms is not None:
-            yield z, value, ms
-        # the lexicographic successor of the prefix z[:last] within the budget;
-        # after a dead prefix, the first one past its subtree
-        while i >= 0 and left < grades[i]:
-            left += z[i] * grades[i]
-            for r, c in enumerate(columns[i]):
-                value[r] -= z[i] * c
-            z[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        z[i] += 1
-        left -= grades[i]
-        for r, c in enumerate(columns[i]):
-            value[r] += c
-
-
 # ---------------------------------------------------------------------------
 # factorization enumeration
 # ---------------------------------------------------------------------------
@@ -476,8 +457,8 @@ def enumerate_factorizations(presentation: MonoidPresentation, element: Iterable
     The validated grading h caps every exponent: z_i <= h(x) / h(g_i).  The
     result does not depend on it.  The empty tuple means the element is not in
     the monoid.  Generators need not be atoms; the result then lists generator
-    decompositions.  A search longer than the budget of :func:`graded_walk`
-    raises BudgetExceeded.
+    decompositions.  A search longer than the budget of
+    :meth:`IntegerForm.solutions` raises BudgetExceeded.
     """
     x = as_element(element)
     if len(x) != presentation.ambient_dim:

@@ -432,7 +432,11 @@ def poly_divide_exact(
     first coefficient that is not a nonnegative integer, ends the division.
     The loop runs on the exponent indices of the shared monoid, so the
     leading index strictly decreases through the integers and the loop
-    ends, and the quotient comes out in index form.
+    ends, and the quotient comes out in index form.  Each quotient term is a
+    step, and more than ``linalg.MAX_STEPS`` raise BudgetExceeded: over
+    ``"Q"`` their count grows with the exponents, as in (x^N - 1) / (x - 1).
+    Over ``"N"`` the remainder's coefficients only fall, so each term sits at
+    an exponent of ``f`` and there are no more of them than ``f`` has terms.
     """
     if not f.same_semiring(g):
         raise ValueError("cannot divide across different semirings")
@@ -458,6 +462,8 @@ def poly_divide_exact(
         else:
             q_coeff = _stored(Fraction(top) / lead_coeff)
         quotient.append((q_exp, q_coeff))
+        if len(quotient) > linalg.MAX_STEPS:
+            raise BudgetExceeded(f"poly_divide_exact exceeded its budget of {linalg.MAX_STEPS} steps")
         for eg, cg in lower:
             e = q_exp + eg
             value = remainder.get(e, 0) - q_coeff * cg

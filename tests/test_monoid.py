@@ -694,14 +694,18 @@ def test_atom_bounds_agree_with_the_unbounded_walk(monkeypatch):
 
 
 def test_enumeration_step_budget(monkeypatch):
-    p = numerical(2, 3)
-    assert len(enumerate_factorizations(p, [1000])) == 167
-    # one prefix of the walk and 167 candidates for the free exponent
-    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 168)
-    assert len(enumerate_factorizations(p, [1000])) == 167
-    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 167)
-    with pytest.raises(BudgetExceeded, match="budget of 167 steps"):
-        enumerate_factorizations(p, [1000])
+    # <2, 3>: one prefix of the walk and 167 candidates for the free exponent.
+    # <6, 9, 20>: two free exponents, so the walk steps through prefixes whose
+    # floors are empty at every position, as in every rank-one search
+    for values, count, steps in [((2, 3), 167, 168), ((6, 9, 20), 465, 632)]:
+        p = numerical(*values)
+        assert len(enumerate_factorizations(p, [1000])) == count
+        with monkeypatch.context() as patch:
+            patch.setattr("factolab.linalg.MAX_STEPS", steps)
+            assert len(enumerate_factorizations(p, [1000])) == count
+            patch.setattr("factolab.linalg.MAX_STEPS", steps - 1)
+            with pytest.raises(BudgetExceeded, match=f"budget of {steps - 1} steps"):
+                enumerate_factorizations(p, [1000])
 
 
 def test_pruned_step_budget_on_a_strip(monkeypatch):

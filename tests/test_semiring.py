@@ -261,7 +261,7 @@ def test_exponent_monoid_validation():
 def test_identity_two_products_one_polynomial():
     lhs = poly_mul(nat_poly(1, 1), nat_poly(6, 1, 1, 1))
     rhs = poly_mul(nat_poly(2, 1), nat_poly(3, 2, 0, 1))
-    assert lhs == rhs == nat_poly(6, 7, 2, 2, 1)
+    assert lhs == rhs == nat_poly(2, 1) * nat_poly(3, 2, 0, 1) == nat_poly(6, 7, 2, 2, 1)
 
 
 def test_poly_mul_matches_dense_oracle():
@@ -288,6 +288,8 @@ def test_cross_semiring_operations_rejected():
     g = SemiringPolynomial.from_terms([(1, 1)], "Q")
     with pytest.raises(ValueError):
         poly_mul(f, g)
+    with pytest.raises(ValueError, match="cannot multiply across different semirings"):
+        f * g
     with pytest.raises(ValueError):
         f + g
     with pytest.raises(ValueError) as excinfo:
@@ -345,6 +347,17 @@ def test_divide_exact_respects_domain_and_monoid():
     assert poly_divide_exact(f, h) == SemiringPolynomial.from_terms(
         [(3, 1)], "N", m23
     )
+
+
+def test_divide_exact_step_budget(monkeypatch):
+    # over Q, (x^20 - 1) / (x - 1) has 20 quotient terms, one a step
+    f = SemiringPolynomial.from_terms([(20, 1), (0, -1)], "Q")
+    g = SemiringPolynomial.from_terms([(1, 1), (0, -1)], "Q")
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 20)
+    assert poly_divide_exact(f, g) == SemiringPolynomial.from_terms([(e, 1) for e in range(20)], "Q")
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 19)
+    with pytest.raises(BudgetExceeded, match="poly_divide_exact exceeded its budget of 19 steps"):
+        poly_divide_exact(f, g)
 
 
 def test_zero_dividend():
