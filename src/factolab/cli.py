@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Every subcommand reads JSON (from a file argument or stdin via ``-``) and/or
-simple flags, and writes a single deterministic JSON document to stdout
-(``indent=2, sort_keys=True``).  Exit codes:
+simple flags.  Its handler returns one JSON document and prints nothing;
+``main`` writes that document to stdout (``indent=2, sort_keys=True``) and
+maps the outcome to an exit code:
 
 * 0 — success,
 * 1 — bad input: unreadable file, malformed JSON (reported with line and
   column), or a value the library rejects,
-* 2 — ``gallery`` ran but at least one fixture disagreed with its expected
-  classification,
+* 2 — a usage error reported by argparse (unknown subcommand, missing or
+  malformed argument), or ``gallery`` ran but at least one fixture disagreed
+  with its expected classification (its document lists them under
+  ``mismatches``),
 * 3 — a search ran out of its step budget.
 
 The gallery truncation defaults to 4 and can be set with the
@@ -57,52 +60,43 @@ def _load_presentation(path: str, normalize: bool) -> MonoidPresentation:
     return presentation
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns an exit code
+# subcommand handlers: each returns its JSON document
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     presentation = _load_presentation(args.presentation, args.normalize)
     report = classify(presentation)
-    _emit(report.to_json_dict())
-    return 0
+    return report.to_json_dict()
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> dict:
     presentation = _load_presentation(args.presentation, args.normalize)
     element = [parse_rational(part) for part in args.element.split(",")]
     factorizations = enumerate_factorizations(presentation, element)
-    _emit(
-        {
-            "element": [format_rational(x) for x in element],
-            "factorizations": [list(z) for z in factorizations],
-            "lengths": sorted({sum(z) for z in factorizations}),
-        }
-    )
-    return 0
+    return {
+        "element": [format_rational(x) for x in element],
+        "factorizations": [list(z) for z in factorizations],
+        "lengths": sorted({sum(z) for z in factorizations}),
+    }
 
 
-def _emit_classified(presentation: MonoidPresentation) -> int:
+def _classified(presentation: MonoidPresentation) -> dict:
     report = classify(presentation)
-    _emit({"presentation": presentation.to_json_dict(), "report": report.to_json_dict()})
-    return 0
+    return {"presentation": presentation.to_json_dict(), "report": report.to_json_dict()}
 
 
-def _cmd_construct_master(args) -> int:
+def _cmd_construct_master(args) -> dict:
     from .construct import MasterSpec, build_master_monoid
 
-    return _emit_classified(build_master_monoid(MasterSpec(tuple(args.long), tuple(args.short))))
+    return _classified(build_master_monoid(MasterSpec(tuple(args.long), tuple(args.short))))
 
 
-def _cmd_pls_example(args) -> int:
+def _cmd_pls_example(args) -> dict:
     from .construct import pls_example
 
-    return _emit_classified(pls_example(args.purely_long, args.purely_short))
+    return _classified(pls_example(args.purely_long, args.purely_short))
 
 
 def _resolve_truncation(flag: Optional[int]) -> int:
@@ -119,51 +113,45 @@ def _resolve_truncation(flag: Optional[int]) -> int:
         )
 
 
-def _cmd_gallery(args) -> int:
+def _cmd_gallery(args) -> dict:
     from .construct import fixture_gallery, verify_gallery
 
     truncation = _resolve_truncation(args.k)
     gallery = fixture_gallery(truncation=truncation)
     mismatches = verify_gallery(gallery)
-    _emit(
-        {
-            "truncation": truncation,
-            "fixtures": [
-                {
-                    "name": fixture.name,
-                    "presentation": fixture.presentation.to_json_dict(),
-                    "expected": fixture.expected,
-                }
-                for fixture in gallery
-            ],
-            "mismatches": mismatches,
-        }
-    )
-    return 2 if mismatches else 0
+    return {
+        "truncation": truncation,
+        "fixtures": [
+            {
+                "name": fixture.name,
+                "presentation": fixture.presentation.to_json_dict(),
+                "expected": fixture.expected,
+            }
+            for fixture in gallery
+        ],
+        "mismatches": mismatches,
+    }
 
 
-def _cmd_semiring_atom(args) -> int:
+def _cmd_semiring_atom(args) -> dict:
     from .semiring import SemiringPolynomial, natural_atom_test
 
     poly = SemiringPolynomial.from_json_dict(_read_json(args.polynomial))
     is_atom, witness = natural_atom_test(poly)
-    _emit(
-        {
-            "is_atom": is_atom,
-            "witness": (
-                None
-                if witness is None
-                else {
-                    "factor": witness[0].to_json_dict(),
-                    "cofactor": witness[1].to_json_dict(),
-                }
-            ),
-        }
-    )
-    return 0
+    return {
+        "is_atom": is_atom,
+        "witness": (
+            None
+            if witness is None
+            else {
+                "factor": witness[0].to_json_dict(),
+                "cofactor": witness[1].to_json_dict(),
+            }
+        ),
+    }
 
 
-def _cmd_algebra_witness(args) -> int:
+def _cmd_algebra_witness(args) -> dict:
     from .semiring import algebra_witness
 
     witness = algebra_witness(args.a, args.b)
@@ -172,26 +160,23 @@ def _cmd_algebra_witness(args) -> int:
         payload[key] = payload[key].to_json_dict()
     for key in ("z1", "z2"):
         payload[key] = [{"factor": poly.to_json_dict(), "multiplicity": mult} for poly, mult in payload[key]]
-    _emit({**payload, "factorization_length": witness.factorization_length})
-    return 0
+    return {**payload, "factorization_length": witness.factorization_length}
 
 
-def _cmd_case1(args) -> int:
+def _cmd_case1(args) -> dict:
     from .semiring import case1_relation
 
     presentation = _load_presentation(args.presentation, normalize=False)
     relation = case1_relation(presentation, args.i, args.j)
     payload = relation.to_json_dict()
     payload["element"] = format_rational(presentation.evaluate(relation.left)[0])
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_evidence(args) -> int:
+def _cmd_evidence(args) -> dict:
     presentation = _load_presentation(args.presentation, args.normalize)
     relations = relation_evidence(presentation, args.bound)
-    _emit({"bound": args.bound, "relations": [r.to_json_dict() for r in relations]})
-    return 0
+    return {"bound": args.bound, "relations": [r.to_json_dict() for r in relations]}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +296,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        document = args.handler(args)
+        print(json.dumps(document, indent=2, sort_keys=True))
     except json.JSONDecodeError as exc:
         print(
             f"error: invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -319,12 +305,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, BudgetExceeded) else 1
+    return 2 if document.get("mismatches") else 0
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ class MasterSpec(linalg.Frozen):
         if not a or not b:
             raise InvalidMasterSpec("both sides need at least one atom")
         for entry in (*a, *b):
-            if not isinstance(entry, int) or entry < 1:
+            if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
                 raise InvalidMasterSpec(
                     f"multiplicities must be positive integers, got {linalg.excerpt(repr(entry))}"
                 )
@@ -136,7 +136,11 @@ def pls_example(purely_long: int, purely_short: int) -> MonoidPresentation:
     sigma(w) w_i > 0 and purely short iff sigma(w) w_i < 0), each long atom is
     purely long and each short atom purely short.  More than
     ``linalg.MAX_STEPS`` output coordinates, (L + S - 1)^2, raise BudgetExceeded.
+    A count that is not an ``int`` (a ``bool`` included) raises ``ValueError``.
     """
+    for count in (purely_long, purely_short):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ValueError(f"pure-atom count {linalg.excerpt(repr(count))} is not an integer")
     if purely_long < 1 or purely_short < 1:
         raise ValueError(
             "pure-atom counts must be at least 1: a monoid with a master "
@@ -200,7 +204,10 @@ def fixture_gallery(truncation: int = 4) -> list[Fixture]:
     BudgetExceeded is raised before anything is built when the cube of the
     largest generator count, 2 * truncation + 3, passes ``linalg.MAX_STEPS``.
     Each fixture states its kernel rank and where it departs from ``_VERDICTS``.
+    A truncation that is not an ``int`` (a ``bool`` included) raises ``ValueError``.
     """
+    if not isinstance(truncation, int) or isinstance(truncation, bool):
+        raise ValueError(f"truncation {linalg.excerpt(repr(truncation))} is not an integer")
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     if (2 * truncation + 3) ** 3 > linalg.MAX_STEPS:

@@ -210,8 +210,6 @@ Constraint = tuple[Sequence[Rational], Rational]  # coeffs . t >= rhs
 
 def _integer_multiple(values: Sequence[Rational]) -> tuple[IntVector, int]:
     """(D * values, D) for the least common denominator D of the values."""
-    if all(type(x) is int for x in values):
-        return tuple(values), 1
     qs = [parse_rational(x) for x in values]
     den = math.lcm(*(q.denominator for q in qs))
     return tuple(q.numerator * (den // q.denominator) for q in qs), den

@@ -99,15 +99,15 @@ class NumericalMonoid:
         if m > linalg.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
             raise BudgetExceeded(f"smallest generator {excerpt(m)} exceeds the budget of {linalg.MAX_STEPS} steps")
         # every known Apéry entry is at most (m - 1) * g_max, and a walk adds at
-        # most g_max at most m - 1 times, so no walk reaches this sentinel
+        # most g_max at most m - 1 times, so no walk from a known entry reaches
+        # this sentinel; a walk around a cycle that no member reaches yet starts
+        # on it, stays on it and writes nothing
         unknown = 2 * m * gens[-1]
         apery = [0] + [unknown] * (m - 1)
         for g in gens[1:]:
             cycles = gcd(g, m)
             for start in range(cycles):
                 n = min(apery[start::cycles])
-                if n == unknown:  # no member reaches this cycle yet
-                    continue
                 for _ in range(m // cycles - 1):
                     n += g
                     p = n % m
@@ -163,8 +163,6 @@ def monoid_elements_up_to(
     ``None`` stands for the natural numbers.  More than
     ``factolab.linalg.MAX_STEPS`` candidates raise BudgetExceeded.
     """
-    if bound < 0:
-        return []
     unit, numerical = _rank_one_scaling(exponent_monoid)
     count = bound // unit + 1
     if count > linalg.MAX_STEPS:  # checked before the candidates are listed
@@ -650,10 +648,14 @@ def case1_relation(
     — both equal ``x^(n_i * n_j)`` — giving a relation whose two sides have
     different lengths whenever the exponents differ.  The side of the
     smaller exponent is the longer one.  A generator ``i`` or ``j`` that is
-    not an atom of the presentation raises :class:`NotAnAtom`.
+    not an atom of the presentation raises :class:`NotAnAtom`, and an index
+    that is not an ``int`` (a ``bool`` included) raises ``ValueError``.
     """
     if presentation.ambient_dim != 1:
         raise ValueError("monomial atoms need a one-dimensional monoid")
+    for t in (i, j):
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValueError(f"atom index {excerpt(repr(t))} is not an integer")
     k = presentation.atom_count
     if not (0 <= i < k and 0 <= j < k):
         raise ValueError(f"atom indices must lie in 0..{k - 1}, got {excerpt(i)} and {excerpt(j)}")
@@ -738,8 +740,9 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
     supposed to guarantee fails its verification — the latter indicates a
     bug, not bad input.
     """
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise InvalidPair("generators must be integers")
+    for g in (a, b):
+        if not isinstance(g, int) or isinstance(g, bool):
+            raise InvalidPair(f"generator {excerpt(repr(g))} is not an integer")
     if not (2 <= a < b):
         raise InvalidPair(f"need 2 <= a < b, got a={a}, b={b}")
     if gcd(a, b) != 1:

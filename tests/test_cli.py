@@ -81,6 +81,26 @@ def test_analyze_output_is_byte_identical(p23):
     assert first.stdout.strip().startswith("{")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{p23}"],
+    ["factorize", "{p23}", "--element", "12"],
+    ["construct-master", "--long", "3", "--short", "2"],
+    ["pls-example", "2", "1"],
+    ["gallery", "--k", "3"],
+    ["semiring-atom", "{poly}"],
+    ["algebra-witness", "2", "3"],
+    ["case1", "{puiseux}", "0", "1"],
+    ["evidence", "{p23}", "--bound", "20"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_prints_one_canonical_document(p23, puiseux, tmp_path, capsys, argv):
+    poly = tmp_path / "poly.json"  # (x + 1)^2, reducible, so the witness is filled in
+    poly.write_text(json.dumps({"coeff_domain": "N", "monoid": "N0", "terms": [["2", "1"], ["1", "2"], ["0", "1"]]}))
+    paths = {"p23": p23, "puiseux": puiseux, "poly": str(poly)}
+    code, out = run_inproc(*(arg.format(**paths) for arg in argv), capsys=capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_analyze_reads_stdin():
     payload = json.dumps({"dim": 1, "generators": [["2"], ["3"]]})
     result = run_cli("analyze", "-", stdin_text=payload)

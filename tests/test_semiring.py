@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from factolab.construct import InvalidMasterSpec, MasterSpec, fixture_gallery, pls_example
 from factolab.linalg import InternalContradiction
 from factolab.monoid import BudgetExceeded, MonoidPresentation, NotAnAtom
 from factolab.semiring import (
@@ -817,6 +818,28 @@ def test_algebra_witness_rejects_bad_pairs():
             algebra_witness(a, b)
     with pytest.raises(InvalidPair):
         algebra_witness(2.0, 3)
+
+
+PUISEUX = MonoidPresentation.from_values([Fraction(1, 2), Fraction(2, 3)])
+
+
+@pytest.mark.parametrize("function, args, error, message", [
+    (MasterSpec, ((3,), (True, True)), InvalidMasterSpec, "multiplicities must be positive integers, got True"),
+    (pls_example, (1.5, 1), ValueError, "pure-atom count 1.5 is not an integer"),
+    (pls_example, (True, 1), ValueError, "pure-atom count True is not an integer"),
+    (pls_example, (2, 1.0), ValueError, "pure-atom count 1.0 is not an integer"),
+    (fixture_gallery, (3.0,), ValueError, "truncation 3.0 is not an integer"),
+    (case1_relation, (PUISEUX, 0, 1.0), ValueError, "atom index 1.0 is not an integer"),
+    (case1_relation, (PUISEUX, True, 0), ValueError, "atom index True is not an integer"),
+    (algebra_witness, (True, 3), InvalidPair, "generator True is not an integer"),
+    (algebra_witness, (2, 10**60 + 0.5), InvalidPair, "generator 1e+60 is not an integer"),
+], ids=["spec-bool", "pls-float", "pls-bool", "pls-short-float", "gallery-float", "case1-float", "case1-bool",
+        "witness-bool", "witness-float"])
+def test_integer_arguments_refuse_a_non_int_or_a_bool(function, args, error, message):
+    # the library API refuses these, never truncates or compares them as ints
+    with pytest.raises(error) as excinfo:
+        function(*args)
+    assert str(excinfo.value) == message
 
 
 def test_algebra_witness_membership_refutations():
