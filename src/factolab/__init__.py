@@ -67,55 +67,8 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "AlgebraWitness",
-    "AtomLabel",
-    "BudgetExceeded",
-    "ClassificationReport",
-    "DimensionMismatch",
-    "DuplicateGenerator",
-    "FactorizationRelation",
-    "Fixture",
-    "Grading",
-    "InternalContradiction",
-    "InvalidGenerator",
-    "InvalidMasterSpec",
-    "InvalidPair",
-    "LatticeBasis",
-    "MasterSpec",
-    "MonoidPresentation",
-    "NotAnAtom",
-    "NotNormalized",
-    "NotPointed",
-    "NumericalMonoid",
-    "SemiringPolynomial",
-    "algebra_witness",
-    "atomic_divisors",
-    "binomial_irreducibility_check",
-    "build_master_monoid",
-    "case1_relation",
-    "classify",
-    "ensure_normalized",
-    "enumerate_factorizations",
-    "fixture_gallery",
-    "format_rational",
-    "homogeneous_lp_witness",
-    "integer_kernel",
-    "is_additive_atom",
-    "length_set",
-    "monoid_elements_up_to",
-    "natural_atom_test",
-    "normalize_atoms",
-    "parse_rational",
-    "pls_example",
-    "poly_divide_exact",
-    "poly_mul",
-    "poly_pow",
-    "rank_one_membership",
-    "rational_num_den",
-    "relation_evidence",
-    "validate_presentation",
-    "verify_gallery",
-]
+# the names imported above and the lazy ones; importing a submodule binds
+# its name too, which is no part of the API
+__all__ = sorted({name for name in globals() if not name.startswith("_")} - {"importlib", "linalg", "monoid"} | set(_LAZY))
 
 __version__ = "0.1.0"

@@ -31,10 +31,11 @@ solely in the independent oracle ``relation_evidence``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
 from itertools import combinations, product
 from math import floor, gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -277,36 +278,53 @@ def relation_evidence(presentation: MonoidPresentation, bound) -> list[Factoriza
     lattice: it pairs prefixes within residue classes of the least-grade
     generator.
 
-    For the integer grade budget, an element x of grade <= budget has
-    |x_r| < B / 2, where B = 2 * budget * max|X| + 1 over every entry of every
-    column, so its key sum_r x_r * B**(d - 1 - r) identifies it and sorts as
-    x does.
+    For the integer grade budget, every grade is at least 1, so a prefix
+    below evaluates to an element x with |x_r| <= budget * m, where m = max|X|
+    over every entry of every column.  Its quotient q below has
+    |q| <= budget * m, so its class x - q t has entries of absolute value at
+    most budget * m * (m + 1).  With B twice that plus 1, the key
+    sum_r x_r * B**(d - 1 - r) of either identifies it and sorts as it does.
 
     A prefix is an exponent vector of grade <= budget on the generators but
     the least-grade t.  If it evaluates to x, its class is x - q t with
-    q = x_i // t_i for the first i where t_i != 0, kept as a key that may
-    merge classes but never splits one.  At most one side of an irredundant
-    relation uses t, so the relation is a pair of prefixes of disjoint
-    supports in one class, the side of smaller q taking the difference of
-    the quotients in copies of t.  Conversely such a pair is a relation when
-    that side keeps grade <= budget, as equal keys within the budget are
-    equal elements.  The pair determines the relation, so each is found
-    once.  (Classes modulo key(t) would merge all prefixes when key(t) is 1,
-    as for the last unit vector.)
+    q = x_i // t_i for the first i where t_i != 0, kept as its key.  At most
+    one side of an irredundant relation uses t, so the relation is a pair of
+    prefixes of disjoint supports in one class, the side of smaller q taking
+    the difference of the quotients in copies of t.  Conversely such a pair
+    is a relation when that side keeps grade <= budget, as equal keys within
+    the budget are equal elements.  The pair determines the relation, so each
+    is found once.  (Classes modulo key(t) would merge all prefixes when
+    key(t) is 1, as for the last unit vector.)
 
     A step is a prefix, a pair of overlapping support masks in one class, or
     a pair of prefixes of disjoint supports.  More than
     ``factolab.linalg.MAX_STEPS`` steps raise BudgetExceeded, and each level
     of prefixes is sized against that before it is built.
+
+    For budgets a <= b, the relations of grade <= a are the leading ones of
+    those of grade <= b: the radix changes the keys but neither their order
+    nor the classes, nor which pairs are relations.  The steps grow with the
+    budget, as the prefixes, classes and support masks at a are among those
+    at b.  A search fails exactly when its steps pass ``MAX_STEPS``, as no
+    level sized before it is built outgrows the last, whose prefixes are
+    steps.  So the integer form keeps the largest completed search as
+    ``(budget, steps, found)``, and a call whose budget is at most that one
+    answers from it while those steps are within ``MAX_STEPS``: exactly
+    when, and exactly what, a fresh search would answer.
     """
     form = require_atoms(presentation)
     budget = floor(parse_rational(bound) * form.unit)
     if budget < 1:  # below the grade of any generator, and the keys need B > 1
         return []
     max_steps = linalg.MAX_STEPS
+    kept = form.relation_search
+    if kept is not None and kept[0] >= budget and kept[1] <= max_steps:
+        found = kept[2]
+        return [rel for _, _, rel in found[:bisect_right(found, budget, key=itemgetter(0))]]
     over_budget = f"search exceeded its budget of {max_steps} steps"
     grades = form.grades
-    radix = 2 * budget * max(abs(c) for x in form.columns for c in x) + 1
+    top = max(abs(c) for x in form.columns for c in x)
+    radix = 2 * budget * top * (top + 1) + 1
     keys = [sum(c * radix**r for r, c in enumerate(reversed(x))) for x in form.columns]
     t = grades.index(min(grades))
     i = next(r for r, c in enumerate(form.columns[t]) if c)  # a coordinate that t moves
@@ -353,4 +371,6 @@ def relation_evidence(presentation: MonoidPresentation, bound) -> list[Factoriza
                     pair = (a, b) if (sum(a), a) > (sum(b), b) else (b, a)
                     found.append((used, value, FactorizationRelation(*pair)))
     found.sort()
+    if kept is None or kept[0] < budget:
+        form.relation_search = budget, steps, found
     return [rel for _, _, rel in found]

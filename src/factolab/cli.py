@@ -12,7 +12,11 @@ maps the outcome to an exit code:
   malformed argument), or ``gallery`` ran but at least one fixture disagreed
   with its expected classification (its document lists them under
   ``mismatches``),
-* 3 — a search ran out of its step budget.
+* 3 — a search ran out of its step budget,
+* 130 — interrupted (Ctrl-C), reported as one ``error: interrupted`` line,
+* 141 — stdout was closed before the document was written, as by
+  ``| head``; nothing is printed, and the code is the one a shell gives a
+  process that SIGPIPE ends.
 
 The gallery truncation defaults to 4 and can be set with the
 ``FACTOLAB_TRUNCATION_K`` environment variable; an explicit ``--k`` flag
@@ -298,6 +302,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         document = args.handler(args)
         print(json.dumps(document, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except json.JSONDecodeError as exc:
         print(
             f"error: invalid JSON at line {exc.lineno} column {exc.colno}: "

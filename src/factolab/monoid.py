@@ -260,6 +260,8 @@ class IntegerForm:
         self.unit = math.lcm(*(low // math.gcd(w, low) for w in u))
         self.weights = tuple(w * self.unit // low for w in u)
         self.grades = tuple(sum(map(mul, self.weights, x)) for x in self.columns)
+        # (budget, steps, found) of the largest search classify.relation_evidence completed
+        self.relation_search: Optional[tuple[int, int, list]] = None
 
     @cached_property
     def grading(self) -> Grading:
@@ -451,6 +453,18 @@ def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _target(presentation: MonoidPresentation, element: Iterable) -> Optional[IntVector]:
+    """The element as a column of the integer form, or None when a coordinate
+    lies off the scaled integer grid, so that it is not in the monoid."""
+    x = as_element(element)
+    if len(x) != presentation.ambient_dim:
+        raise DimensionMismatch("element does not live in the ambient space")
+    scales = presentation.integer_form.scales
+    if any(s % c.denominator for c, s in zip(x, scales)):
+        return None
+    return tuple(c.numerator * (s // c.denominator) for c, s in zip(x, scales))
+
+
 def enumerate_factorizations(presentation: MonoidPresentation, element: Iterable) -> tuple[FactorizationVector, ...]:
     """All exponent vectors z with sum_i z_i g_i = element, sorted lexicographically.
 
@@ -460,14 +474,8 @@ def enumerate_factorizations(presentation: MonoidPresentation, element: Iterable
     decompositions.  A search longer than the budget of
     :meth:`IntegerForm.solutions` raises BudgetExceeded.
     """
-    x = as_element(element)
-    if len(x) != presentation.ambient_dim:
-        raise DimensionMismatch("element does not live in the ambient space")
-    form = presentation.integer_form
-    if any(s % c.denominator for c, s in zip(x, form.scales)):
-        return ()  # a coordinate off the scaled integer grid: not in the monoid
-    target = tuple(c.numerator * (s // c.denominator) for c, s in zip(x, form.scales))
-    return tuple(form.solutions(target))
+    target = _target(presentation, element)
+    return () if target is None else tuple(presentation.integer_form.solutions(target))
 
 
 def length_set(presentation: MonoidPresentation, element: Iterable) -> set[int]:
@@ -476,10 +484,17 @@ def length_set(presentation: MonoidPresentation, element: Iterable) -> set[int]:
 
 
 def atomic_divisors(presentation: MonoidPresentation, element: Iterable) -> set[int]:
-    """Indices of generators appearing in at least one factorization."""
+    """Indices of generators appearing in at least one factorization.  The
+    walk stops once every generator has appeared, so a budget of
+    :meth:`IntegerForm.solutions` is spent only while one is still missing."""
+    target = _target(presentation, element)
     divisors: set[int] = set()
-    for z in enumerate_factorizations(presentation, element):
+    if target is None:
+        return divisors
+    for z in presentation.integer_form.solutions(target):
         divisors.update(i for i, m in enumerate(z) if m > 0)
+        if len(divisors) == presentation.atom_count:
+            break
     return divisors
 
 

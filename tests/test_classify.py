@@ -20,7 +20,7 @@ from factolab.classify import (
     classify,
     relation_evidence,
 )
-from factolab.construct import fixture_gallery
+from factolab.construct import MasterSpec, build_master_monoid, fixture_gallery
 from factolab.linalg import (
     InternalContradiction,
     LatticeBasis,
@@ -338,6 +338,67 @@ def test_relation_evidence_commutes_with_permuting_generators():
         assert unordered(relation_evidence(q, bound), inverse) == unordered(rels, range(k)), (p, perm)
         relations += len(rels)
     assert relations >= 300, relations
+
+
+def test_relation_evidence_answers_any_bound_up_to_its_largest_search():
+    """Bounds asked out of order on one presentation, the four presentations
+    of the ``factorize-queries`` workload first, answer as a fresh search on
+    an equal presentation does; the integer form keeps the largest search."""
+    rng = random.Random(3131)
+    presentations = [
+        numerical(6, 9, 20),
+        MonoidPresentation.from_generators([(2, 0, 0), (3, 0, 0)] + [(0, n, 1) for n in range(5)]),
+        build_master_monoid(MasterSpec((2, 1, 1), (1, 1, 1))),
+        MonoidPresentation.from_generators([(n, 1) for n in range(6)]),
+    ]
+    while len(presentations) < 24:
+        d = rng.randint(2, 3)
+        gens = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, 5))}
+        try:
+            presentations.append(normalize_atoms(MonoidPresentation.from_generators(sorted(g for g in gens if any(g)))))
+        except NotPointed:
+            continue
+    relations = 0
+    for p in presentations:
+        for bound in (8, 6, 10, 6, Fraction(3, 2), 10):
+            fresh = MonoidPresentation(p.ambient_dim, p.generators, p.label)
+            rels = relation_evidence(p, bound)
+            assert rels == relation_evidence(fresh, bound), (p.generators, bound)
+            relations += len(rels)
+        form = p.integer_form
+        assert form.relation_search[0] == 10 * form.unit
+    assert relations >= 200, relations
+
+
+def test_relation_evidence_reuse_keeps_the_step_budget(monkeypatch):
+    # <2, 3> at bound 10: the 7 prefixes m * 3 <= 20 and, in the class of the
+    # even m, the zero prefix against the 3 others, 10 steps; at bound 20 the
+    # kept search took 20, so under a budget of 10 it is searched afresh
+    p = numerical(2, 3)
+    assert len(relation_evidence(p, 20)) == 6
+    want = [FactorizationRelation((3 * t, 0), (0, 2 * t)) for t in range(1, 4)]
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10)
+    assert relation_evidence(numerical(2, 3), 10) == want
+    assert relation_evidence(p, 10) == want
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 9)
+    for q in (numerical(2, 3), p):
+        with pytest.raises(BudgetExceeded, match="budget of 9 steps"):
+            relation_evidence(q, 10)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 20)
+    assert relation_evidence(p, 10) == want
+
+
+def test_relation_evidence_returns_a_fresh_list_each_call():
+    p = numerical(3, 4, 5)
+    want = relation_evidence(numerical(3, 4, 5), 10)
+    searched = relation_evidence(p, 10)
+    searched.clear()
+    reused = relation_evidence(p, 10)
+    assert reused == want
+    reused.reverse()
+    reused.append(None)
+    assert relation_evidence(p, 10) == want
+    assert relation_evidence(p, 8) == relation_evidence(numerical(3, 4, 5), 8)
 
 
 def test_rank_one_reading_matches_the_lp():

@@ -261,6 +261,31 @@ def test_evidence(p23, capsys):
     assert data["relations"][0] == {"left": [3, 0], "right": [0, 2]}
 
 
+def test_a_closed_pipe_ends_quietly_with_141(tmp_path):
+    # at bound 200 the document of <6, 9, 20> outgrows any pipe buffer, so
+    # the reader closes the pipe while the command still writes, as `| head -2`
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"dim": 1, "generators": [["6"], ["9"], ["20"]]}))
+    with subprocess.Popen(
+        [sys.executable, "-m", "factolab", "evidence", str(path), "--bound", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as process:
+        assert process.stdout.read(16) == b'{\n  "bound": 200'
+        process.stdout.close()
+        assert process.wait(timeout=30) == 141
+        assert process.stderr.read() == b""
+
+
+def test_ctrl_c_ends_with_one_line_and_130(p23, monkeypatch, capsys):
+    def interrupted(presentation):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "classify", interrupted)
+    assert run_inproc("analyze", p23) == (130, "")
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
 # ---------------------------------------------------------------------------
 # error reporting
 # ---------------------------------------------------------------------------
