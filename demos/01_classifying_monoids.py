@@ -70,6 +70,14 @@ for relation in relation_evidence(pair, 20):
 nuggets = MonoidPresentation.from_values([6, 9, 20])
 print("relations of 6, 9, 20 up to grade 150:", len(relation_evidence(nuggets, 150)))
 
+# Length sets do not list factorizations either.  100000 has about 4.6
+# million of them in 6, 9, 20, but along each run of the last free exponent
+# the length moves by a fixed step, so each run adds one arithmetic
+# progression of lengths at once.
+
+lengths = length_set(nuggets, (100000,))
+print("length set of 100000:", len(lengths), "lengths, from", min(lengths), "to", max(lengths))
+
 ###############################################################################
 # Three generators 3, 4, 5 behave differently: 3+5 = 4+4 is a relation with
 # equal length on both sides, so two distinct factorizations of 8 share a

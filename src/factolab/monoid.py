@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import compress
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -200,8 +201,14 @@ class Reduction(NamedTuple):
     """The integer Gauss-Jordan form T X = R of the columns X, pivots taken last
     column first.  A free column then lies in the span of the pivot columns
     after it, so a lexicographic walk of the free exponents is lexicographic in
-    z.  The last free exponent m solves w m = acc (mod lead) in one pivot row:
-    ``congruence`` is the :meth:`IntegerForm.solutions` congruence of that row.
+    z.  The last free exponent m solves w m = acc (mod lead) in every pivot
+    row.  ``rows`` combines these congruences by the Chinese remainder
+    theorem, in row order: ``(row, w, gcd, modulus, inverse, size)``, where
+    ``size`` is the product of the moduli before, so that m = m0 + size t
+    for the m0 they leave; gcd = gcd(w size, lead) must divide acc - w m0,
+    and then t = (acc - w m0) / gcd * inverse (mod modulus).  The product of
+    all moduli is ``step``, and ``move``, in column order, is the kernel
+    vector by which a solution changes when m grows by ``step``.
     ``floors``: :func:`_floors` under the form's grades."""
 
     transforms: tuple[IntVector, ...]  # T; its rows past the pivot rows vanish on X
@@ -210,7 +217,9 @@ class Reduction(NamedTuple):
     columns: tuple[IntVector, ...]  # the free columns of R
     order: IntVector  # puts the free, then the pivot exponents in column order
     floors: tuple
-    congruence: tuple[int, int, int, int]
+    rows: tuple[tuple[int, int, int, int, int, int], ...]
+    step: int
+    move: IntVector
 
 
 class IntegerForm:
@@ -294,18 +303,22 @@ class IntegerForm:
         free = [j for j in range(k) if j not in pivots]
         columns = tuple(tuple(row[j] for row in rows[:len(pivots)]) for j in free)
         order = tuple(sorted(range(k), key=(free + pivots).__getitem__))
-        congruence = 0, 1, 1, 0
-        if free:  # the pivot row whose congruence has the widest step
-            w = columns[-1]
-            step, i = max((lead // math.gcd(c, lead), i) for i, (c, lead) in enumerate(zip(w, leads)))
-            g = leads[i] // step
-            congruence = i, g, step, pow(w[i] // g, -1, step)
+        congruences, step, move = [], 1, [0] * k
+        if free:
+            for r, (w, lead) in enumerate(zip(columns[-1], leads)):
+                g = math.gcd(w * step, lead)
+                congruences.append((r, w, g, lead // g, pow(w * step // g, -1, lead // g), step))
+                step *= lead // g
+            shift = [0] * (len(free) - 1) + [step] + [-w * step // lead for w, lead in zip(columns[-1], leads)]
+            move = list(map(shift.__getitem__, order))
         transforms = tuple(tuple(row[k:]) for row in rows)
         floors = _floors(columns, [self.grades[j] for j in free])
-        return Reduction(transforms, leads, tuple(free), columns, order, floors, congruence)
+        return Reduction(transforms, leads, tuple(free), columns, order, floors, tuple(congruences), step, tuple(move))
 
-    def solutions(self, target: IntVector) -> Iterator[FactorizationVector]:
-        """Every z >= 0 with X z == target, in lexicographic order.
+    def _leaves(self, target: IntVector, expand: bool) -> Iterator[tuple[FactorizationVector, int]]:
+        """Every z >= 0 with X z == target, in lexicographic order, as leaves
+        ``(first, count)``: a walked prefix of the free exponents, with the
+        ``count`` solutions ``first + t * move`` for 0 <= t < count.
 
         Each z has the target's own grade u . target under ``grades``, which
         caps every free exponent at that grade over its column's.  The free
@@ -313,61 +326,79 @@ class IntegerForm:
         search of Contejean and Devie, bounded by the grade.  ``acc`` is what
         the prefix leaves of the target's image T target, and ``left`` what it
         leaves of the grade.  A prefix set last at position p whose acc some
-        entry of ``floors[p + 1]`` proves dead is skipped with its subtree
-        (see :func:`_floors`).  The last free exponent m takes each value of
-        grade at most ``left`` that solves w m = acc (mod lead) in one pivot
-        row: with ``congruence`` = ``(row, gcd, step, inverse)``, gcd =
-        gcd(w, lead) divides acc[row], and m = acc[row] / gcd * inverse
-        (mod step), where step = lead / gcd.  Each pivot exponent is then an
-        exact division.  Each prefix reached, dead or not, and each candidate
-        for m is a step; more than ``factolab.linalg.MAX_STEPS`` steps raise
-        BudgetExceeded."""
-        transforms, leads, free, columns, order, floors, congruence = self.reduction
+        entry of ``floors[p + 1]`` proves dead is skipped with its subtree.
+        If ``floors[p]``, which also covers column p, proves it dead too, so
+        is every later value at p, and the walk leaves position p at once
+        (see :func:`_floors`).  At a live prefix each pivot row bounds the
+        last free exponent m, below the grade cap left / grade: m <= acc / w
+        where w > 0, m >= acc / w where w < 0, and acc >= 0 where w = 0.
+        ``rows`` solve the rows' congruences to m = m0 (mod ``step``).  Every
+        m of that progression within the bounds is a solution, and each
+        pivot exponent an exact division.  Each prefix reached, dead or not,
+        is a step; so is each leaf, or, when ``expand``, each solution in it.
+        More than ``factolab.linalg.MAX_STEPS`` steps raise BudgetExceeded."""
+        transforms, leads, free, columns, order, floors, rows, step, _ = self.reduction
         acc = [sum(map(mul, row, target)) for row in transforms]
         if any(acc[len(leads):]):  # outside the span of the columns
             return
         if not free:  # independent columns: one candidate
             pivots = [divmod(b, lead) for b, lead in zip(acc, leads)]
             if all(not rest and q >= 0 for q, rest in pivots):
-                yield tuple(pivots[j][0] for j in order)
+                yield tuple(pivots[j][0] for j in order), 1
             return
         left = sum(map(mul, self.weights, target))
         if left < 0:
             return
         grades = [self.grades[j] for j in free]
-        row, g, step, inverse = congruence
-        last, last_grade, w = len(columns) - 1, grades[-1], columns[-1]
+        last, last_grade, w_last = len(columns) - 1, grades[-1], columns[-1]
         max_steps, steps = linalg.MAX_STEPS, 0
-        z = [0] * len(columns)
+        z = [0] * last
         i = -1  # the position set last (-1 at the root); every later one is 0
         while True:
-            ms = range(0)
             steps += 1
+            leaf = cut = None
             for r, num, den in floors[i + 1]:
-                if acc[r] * den < left * num:
-                    break  # a dead prefix
+                if acc[r] * den < left * num:  # a dead prefix; and its position, if floors[i] says so
+                    for r, num, den in floors[i] if i >= 0 else ():
+                        if acc[r] * den < left * num:
+                            cut = True
+                            break
+                    break
             else:
                 i = last - 1
-                a, rest = divmod(acc[row], g)
-                first, top = a * inverse % step, left // last_grade
-                if not rest and first <= top:
-                    ms = range(first, top + 1, step)
-                    steps += (top - first) // step + 1  # len(ms), which overflows past sys.maxsize
+                m0, low, top = 0, 0, left // last_grade
+                for r, w, g, modulus, inverse, size in rows:
+                    b = acc[r]
+                    t, rest = divmod(b - w * m0, g)
+                    if rest:
+                        break
+                    m0 += size * (t * inverse % modulus)
+                    if w > 0:
+                        if b < w * top:
+                            top = b // w
+                    elif w < 0:
+                        if b < w * low:
+                            low = -(b // -w)  # the ceiling of b / w
+                    elif b < 0:
+                        break
+                else:
+                    first = low + (m0 - low) % step
+                    if first <= top:
+                        count = (top - first) // step + 1
+                        steps += count if expand else 1
+                        vector = [*z, first]
+                        for b, w, lead in zip(acc, w_last, leads):
+                            vector.append((b - w * first) // lead)
+                        leaf = tuple(map(vector.__getitem__, order)), count
             if steps > max_steps:
                 raise BudgetExceeded(f"search exceeded its budget of {max_steps} steps")
-            for m in ms:
-                pivots = []
-                for b, c, lead in zip(acc, w, leads):
-                    q, rest = divmod(b - c * m, lead)
-                    if rest or q < 0:
-                        break
-                    pivots.append(q)
-                else:
-                    z[-1] = m
-                    yield tuple(map((z + pivots).__getitem__, order))
-            # the lexicographic successor of the prefix z[:last] within the
-            # grade; after a dead prefix, the first one past its subtree
-            while i >= 0 and left < grades[i]:
+            if leaf:
+                yield leaf
+            # the lexicographic successor of the prefix z within the grade;
+            # after a dead prefix, the first one past its subtree, or past
+            # position i after a cut
+            while i >= 0 and (cut or left < grades[i]):
+                cut = False
                 left += z[i] * grades[i]
                 for r, c in enumerate(columns[i]):
                     acc[r] += z[i] * c
@@ -379,6 +410,17 @@ class IntegerForm:
             left -= grades[i]
             for r, c in enumerate(columns[i]):
                 acc[r] -= c
+
+    def solutions(self, target: IntVector) -> Iterator[FactorizationVector]:
+        """Every z >= 0 with X z == target, in lexicographic order: each leaf
+        of the walk, expanded along ``move``, with each solution a step."""
+        move = self.reduction.move
+        for z, count in self._leaves(target, True):
+            yield z
+            while count > 1:
+                z = tuple(map(add, z, move))
+                yield z
+                count -= 1
 
     @cached_property
     def atom_defects(self) -> tuple[Optional[FactorizationVector], ...]:
@@ -430,9 +472,12 @@ def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> tuple:
     """Per walk position p >= -1, at index p + 1: ``(i, num, den)`` for each
     pivot row i, where num / den = min(0, min_{j>p} columns[j][i] / grades[j]).
     The exponents after p, of grade <= left, add at least left * num / den to
-    row i, so a prefix with acc_i < left * num / den is dead.  No entries in
-    rank one, where acc is a positive multiple of the grade left and never cuts
-    first, nor for one free column, whose lone root the leaf rule settles."""
+    row i, so a prefix with acc_i < left * num / den is dead.  The entry at
+    index p covers column p too: a prefix set last at p that it proves dead
+    stays dead when the exponent at p grows, as that only moves grade from
+    left into column p.  No entries in rank one, where acc is a positive
+    multiple of the grade left and never cuts first, nor for one free
+    column, whose lone root the leaf rule settles."""
     if len(columns) < 2 or len(columns[0]) == 1:
         return ((),) * len(columns)
     floors = []
@@ -479,20 +524,55 @@ def enumerate_factorizations(presentation: MonoidPresentation, element: Iterable
 
 
 def length_set(presentation: MonoidPresentation, element: Iterable) -> set[int]:
-    """The set of factorization lengths of the element."""
-    return {sum(z) for z in enumerate_factorizations(presentation, element)}
+    """The set of factorization lengths of the element.
+
+    Along a leaf of the walk the length is affine in the last free exponent:
+    each step of ``move`` adds its sum, the slope.  So each leaf adds one
+    arithmetic progression of lengths, ORed into the bits of one int, and
+    counts as one step.  Every length lies between grade / g_max and
+    grade / g_min, for the element's grade and the generators' largest and
+    least grades; bit i stands for the least of these lengths plus i.  When
+    more lengths than ``factolab.linalg.MAX_STEPS`` lie between them, the
+    lengths are read off each solution instead, counted as
+    :meth:`IntegerForm.solutions` counts."""
+    target = _target(presentation, element)
+    if target is None:
+        return set()
+    form = presentation.integer_form
+    grade = sum(map(mul, form.weights, target))
+    low = -(-grade // max(form.grades))
+    if grade // min(form.grades) - low >= linalg.MAX_STEPS:
+        return {sum(z) for z in form.solutions(target)}
+    slope = sum(form.reduction.move)
+    gap = abs(slope)
+    bits = 0
+    for z, count in form._leaves(target, False):
+        start = sum(z) - low
+        if count > 1 and slope:  # start, start + slope, ..., from the least end
+            bits |= ((1 << gap * count) - 1) // ((1 << gap) - 1) << min(start, start + (count - 1) * slope)
+        else:
+            bits |= 1 << start
+    return {low + i for i, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"}
 
 
 def atomic_divisors(presentation: MonoidPresentation, element: Iterable) -> set[int]:
-    """Indices of generators appearing in at least one factorization.  The
-    walk stops once every generator has appeared, so a budget of
-    :meth:`IntegerForm.solutions` is spent only while one is still missing."""
+    """Indices of generators appearing in at least one factorization.  Each
+    leaf of the walk counts as one step and reads its support off its two
+    end points: every exponent is affine along it, so one that ``move``
+    changes is positive at an end of a leaf of two or more solutions.  The
+    walk stops once every generator has appeared, so its budget is spent
+    only while one is still missing."""
     target = _target(presentation, element)
     divisors: set[int] = set()
     if target is None:
         return divisors
-    for z in presentation.integer_form.solutions(target):
-        divisors.update(i for i, m in enumerate(z) if m > 0)
+    form = presentation.integer_form
+    indices = range(presentation.atom_count)
+    moving = list(compress(indices, form.reduction.move))
+    for z, count in form._leaves(target, False):
+        divisors.update(compress(indices, z))
+        if count > 1:
+            divisors.update(moving)
         if len(divisors) == presentation.atom_count:
             break
     return divisors

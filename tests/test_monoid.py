@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -564,8 +565,10 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
     where the cut fires; the box is bounded by the drawn grading, the walk by
     the validated one.  The search must keep every factorization, the
     lexicographic order and the first atom witness.  The walk checks the floors of every prefix it
-    reaches and stops at the first row that proves the prefix dead, so the
-    dead prefixes are those whose rows it does not check to the end.  They
+    reaches and stops at the first row that proves the prefix dead; it then
+    checks the floors of the prefix's position, and stops at the first row
+    that proves the position dead.  So the dead prefixes, and the positions
+    cut whole, are the floors whose rows it does not check to the end.  They
     are counted over the full walks of ``enumerate_factorizations`` alone:
     ``atomic_divisors`` stops early and the atom check at its first witness,
     so their counts measure those functions, not the cut."""
@@ -628,7 +631,7 @@ def test_pruned_walk_matches_box_oracles(monkeypatch):
             assert (exc.value.index, exc.value.witness) == (i, witness[i])
             reducible += 1
     assert checked >= 100 and several >= 25 and reducible >= 10
-    assert cut >= 25 and dead == 368  # the cut fired, on most presentations
+    assert cut >= 25 and dead == 304  # the cut fired, on most presentations
 
 
 def test_atom_check_of_a_seven_generator_presentation_in_q4():
@@ -714,15 +717,176 @@ def test_enumeration_step_budget(monkeypatch):
 
 
 def test_pruned_step_budget_on_a_strip(monkeypatch):
-    # strip-5 at grade 16: with its dead subtrees cut the search takes 185
-    # steps; the uncut walk took 563
+    # strip-5 at grade 16: 59 prefixes and 23 solutions.  Cutting dead
+    # positions whole and bounding each leaf by every pivot row leaves 82
+    # steps; the leaf bounds alone left 127, the cut of dead subtrees 185,
+    # and the uncut walk took 563
     p = MonoidPresentation.from_generators([(n, 1) for n in range(6)])
     assert len(enumerate_factorizations(p, (10, 6))) == 23
-    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 185)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 82)
     assert len(enumerate_factorizations(p, (10, 6))) == 23
-    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 184)
-    with pytest.raises(BudgetExceeded, match="budget of 184 steps"):
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 81)
+    with pytest.raises(BudgetExceeded, match="budget of 81 steps"):
         enumerate_factorizations(p, (10, 6))
+
+
+def crt_rows(form):
+    """The pivot rows whose congruence on the last free exponent m changes
+    along the progression of the row with the widest step: lead does not
+    divide w * step."""
+    w, leads = form.reduction.columns[-1], form.reduction.leads
+    step = max(lead // math.gcd(c, lead) for c, lead in zip(w, leads))
+    return [r for r, (c, lead) in enumerate(zip(w, leads)) if c * step % lead]
+
+
+def random_crt_presentation(rng, kind):
+    """Pointed generators whose last free column has a CRT row.  "identity"
+    draws them as the identity digest does (1-3 coordinates, 2-7 generators,
+    entries in {-4..6}/{1,2,3}).  "coprime" puts two pivot columns a e_1 and
+    b e_2 of coprime a, b last, after 2-4 columns of entries in {0..3}, so
+    that the rows' congruences on m have coprime moduli."""
+    while True:
+        if kind == "identity":
+            d, k = rng.randint(1, 3), rng.randint(2, 7)
+            gens = [tuple(Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3))) for _ in range(d)) for _ in range(k)]
+        else:
+            a, b = rng.choice(((2, 3), (3, 4), (2, 5), (3, 5), (4, 5)))
+            gens = [(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(rng.randint(2, 4))] + [(a, 0), (0, b)]
+        try:
+            p = MonoidPresentation.from_generators(gens)
+            form = p.integer_form
+        except (InvalidGenerator, NotPointed):
+            continue
+        if form.reduction.free and crt_rows(form):
+            return gens, p
+
+
+def test_leaf_congruences_by_crt_match_box_oracles():
+    """Where one pivot row's congruence does not fix m along another's
+    progression, the leaf combines them by the Chinese remainder theorem and
+    yields every m of the combined progression without checking it.  All
+    three queries against the box, on elements built from random exponents
+    and from the positive parts of kernel vectors."""
+    rng = random.Random(32)
+    checked = several = 0
+    for kind in ("identity", "coprime") * 12:
+        gens, p = random_crt_presentation(rng, kind)
+        h = validate_presentation(p)
+
+        def caps(x):
+            return [math.floor(h.grade(x) / h.grade(g)) for g in gens]
+
+        targets = [p.evaluate([rng.randint(0, 3) for _ in gens]) for _ in range(3)]
+        targets += [p.evaluate([max(c, 0) for c in b]) for b in p.integer_form.kernel.vectors]
+        targets.append(tuple(a - b for a, b in zip(targets[0], rng.choice(gens))))
+        for y in targets:
+            if math.prod(c + 1 for c in caps(y)) > BOX_LIMIT:
+                continue
+            want = box_factorizations(gens, y, caps(y))
+            assert list(enumerate_factorizations(p, y)) == want, (gens, y)
+            assert length_set(p, y) == {sum(z) for z in want}, (gens, y)
+            assert atomic_divisors(p, y) == {i for z in want for i, m in enumerate(z) if m}, (gens, y)
+            checked += 1
+            several += len(want) >= 2
+    assert checked >= 40 and several >= 20
+
+
+def test_enumeration_steps_are_prefixes_plus_solutions(monkeypatch):
+    # a presentation with a CRT row: its walk reaches 18 prefixes, and its
+    # leaves hold the 2 solutions, each a step of enumerate_factorizations
+    gens = [(1, 1), (-1, 6), (Fraction(5, 2), Fraction(2, 3)), (2, 2), (Fraction(2, 3), Fraction(-4, 3))]
+    p = MonoidPresentation.from_generators(gens)
+    assert crt_rows(p.integer_form)
+    h = validate_presentation(p)
+    x = (1, 15)
+    want = box_factorizations(gens, x, [math.floor(h.grade(x) / h.grade(g)) for g in gens])
+    assert len(want) == 2
+    steps = 18 + len(want)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps)
+    assert list(enumerate_factorizations(p, x)) == want
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps - 1)
+    with pytest.raises(BudgetExceeded, match=f"budget of {steps - 1} steps"):
+        enumerate_factorizations(p, x)
+
+
+def test_product_truncation_leaf_reads_every_pivot_row(monkeypatch):
+    # (3000, 0, 0) in product-truncation-4: its last free column (0, 3, 1)
+    # reduces to (-1, 2, 0), and pivot row 1 alone forces m = 0.  Bounded by
+    # one row, the walk stepped through every m up to the grade cap, 3,629,752
+    # steps; now it takes 4,501 prefixes and the 501 solutions
+    p = PRODUCT_FIXTURE
+    assert len(enumerate_factorizations(p, (3000, 0, 0))) == 501
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 5002)
+    assert len(enumerate_factorizations(p, (3000, 0, 0))) == 501
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 5001)
+    with pytest.raises(BudgetExceeded, match="budget of 5001 steps"):
+        enumerate_factorizations(p, (3000, 0, 0))
+
+
+def test_dead_positions_cut_a_seeded_walk(monkeypatch):
+    # a seeded presentation in Q^3 (from random.Random(20261018), after
+    # normalize_atoms) at its generator sum: 1,085,131 steps before dead
+    # positions were cut whole and leaves bounded by every pivot row
+    p = MonoidPresentation.from_generators([
+        ("1/3", "5/3", "-4/3"), ("2", "3", "2"), ("0", "1/2", "3"), ("4", "-2", "5/3"),
+        ("5", "1/3", "-1"), ("-1/3", "-2", "1"), ("5", "2/3", "6"),
+    ])
+    x = p.evaluate([1] * 7)
+    facts = enumerate_factorizations(p, x)
+    assert len(facts) == 5 and all(p.evaluate(z) == x for z in facts)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 136_041)
+    assert enumerate_factorizations(p, x) == facts
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 136_040)
+    with pytest.raises(BudgetExceeded):
+        enumerate_factorizations(p, x)
+
+
+def rolling_length_sets(values, n):
+    """The length set of n in the numerical monoid of ``values``, as int
+    bits: L(0) = 1 and L(m) = OR_g L(m - g) << 1, over a window of the last
+    max(values) sets."""
+    width = max(values)
+    window = [0] * width
+    window[0] = 1
+    for m in range(1, n + 1):
+        bits = 0
+        for g in values:
+            if g <= m:
+                bits |= window[(m - g) % width]
+        window[m % width] = bits << 1
+    return {i for i in range(window[n % width].bit_length()) if window[n % width] >> i & 1}
+
+
+def test_rank_one_length_set_reads_leaves_whole(monkeypatch):
+    # <6, 9, 20> at 10^5 has about 4.6 million factorizations; the length set
+    # ORs one progression per leaf, each leaf a step
+    p = numerical(6, 9, 20)
+    for n in (1000, 3001):
+        assert length_set(p, [n]) == rolling_length_sets((6, 9, 20), n)
+    start = time.perf_counter()
+    lengths = length_set(p, [10**5])
+    assert time.perf_counter() - start < 1
+    assert (len(lengths), min(lengths), max(lengths)) == (11_660, 5000, 16_662)
+    assert lengths == rolling_length_sets((6, 9, 20), 10**5)
+
+
+def test_sparse_wide_length_set_reads_each_solution(monkeypatch):
+    # 10^12 in <1, 10^12> has the lengths 1 and 10^12 only: more lengths lie
+    # between them than the budget has steps, so no bitset of that width is
+    # built, and the two solutions are read one by one, each a step after
+    # the walk's one prefix
+    p = numerical(1, 10**12)
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 3)
+    assert length_set(p, [10**12]) == {1, 10**12}
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 2)
+    with pytest.raises(BudgetExceeded):
+        length_set(p, [10**12])
+
+
+def test_strip_walk_stays_within_budget():
+    # strip-5 at (300, 100): every prefix but the dead ones leads to solutions
+    p = MonoidPresentation.from_generators([(n, 1) for n in range(6)])
+    assert len(enumerate_factorizations(p, (300, 100))) == 436_548
 
 
 # ---------------------------------------------------------------------------
