@@ -14,19 +14,30 @@ the coordinate sum (the length difference across a relation):
   span of L has z_i >= 1 together with sigma(z) <= 0 (purely short is the
   mirror image with sigma(z) >= 0).
 
-The lattice basis is saturated, so rational feasibility scales back to
-lattice points and the two directions match exactly.  In rank one, with L
-spanned by the primitive b, atom i is purely long iff sigma(b) b_i > 0 and
-purely short iff sigma(b) b_i < 0, sign(b_i) b witnessing against the other;
-higher ranks solve each system as two integer rows by
-:func:`~factolab.linalg.span_witness`, over the one integer Fourier-Motzkin core,
-which eliminates only the columns a live row touches and leaves the other
-variables at 0.  The two sigma rows are built once per presentation.  An
-infeasible system is certified by Farkas' closed form: atom i is purely long
-exactly when its column (b_1i, ..., b_ri) is a positive multiple of
-(sigma(b_1), ..., sigma(b_r)), purely short exactly when it is a negative one.
-Verdicts are decided by these exact criteria only; bounded searches appear
-solely in the independent oracle ``relation_evidence``.
+The lattice basis b_1, ..., b_r is saturated, so rational feasibility scales
+back to lattice points and the two directions match exactly.  Over
+z = sum_j t_j b_j each purity system is two integer rows, c . t >= 1 and
+-sign sigma . t >= 0 (sign 1 for long, -1 for short), with c the atom's column
+(b_1i, ..., b_ri) and sigma the vector (sigma(b_1), ..., sigma(b_r)).  One rule
+decides it in every rank, cheapest test first (Schrijver, *Theory of Linear
+and Integer Programming*, 1986, ch. 7):
+
+1. if, at the last index j where c or sigma is nonzero, the column that
+   Fourier-Motzkin eliminates first, c_j != 0 and -sign sigma_j c_j >= 0,
+   that elimination pairs no rows, and the witness is sign(c_j) b_j;
+2. else, by Farkas' lemma, the label holds with no witness exactly when c is
+   a positive multiple of sign sigma, checked in integers;
+3. else the system is feasible, and :func:`~factolab.linalg.span_witness`
+   solves it over the one integer Fourier-Motzkin core, which eliminates only
+   the columns a live row touches and leaves the other variables at 0; an
+   empty answer, or a point that misses the system, raises.
+
+Every witness is the point that core would return.  In rank one, with L
+spanned by the primitive b, the first two tests always decide: atom i is
+purely long iff sigma(b) b_i > 0 and purely short iff sigma(b) b_i < 0,
+sign(b_i) b witnessing against the other label.  Verdicts are decided by
+these exact criteria only; bounded searches appear solely in the
+independent oracle ``relation_evidence``.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from bisect import bisect_right
 from enum import Enum
 from itertools import combinations, product
 from math import floor, gcd
-from operator import itemgetter, mul
+from operator import itemgetter, neg
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -149,54 +160,55 @@ def _balanced_kernel_vector(basis: LatticeBasis) -> tuple[int, ...]:
     return _orient(tuple(c // g for c in v))
 
 
-def _rank_one_refutations(
-    b: tuple[int, ...], minus_b: tuple[int, ...], s: int, i: int
-) -> tuple[Optional[tuple[int, ...]], ...]:
-    """The LP witnesses against atom i being purely long and purely short,
-    when the primitive b (integer_kernel saturates), b_i != 0, spans the kernel;
-    minus_b is -b and s is sigma(b).
+def _purity_refutations(basis: LatticeBasis) -> list[Optional[list[Optional[tuple[int, ...]]]]]:
+    """For each atom i, None if it is prime, else its witnesses against being
+    purely long (sign 1) and purely short (sign -1), each None where that
+    label holds, by the module's rule over the rows (c | 1) and
+    (-sign sigma | 0), with c the atom's column, nonzero as it is not prime.
 
-    Over {t b} the long system is t b_i >= 1 and -t sigma(b) >= 0; the sigma
-    row is void, bounds t by 0 on the side of 1/b_i, or cuts 1/b_i off.  So
-    Fourier-Motzkin returns t = 1/b_i or nothing, and the least integer
-    multiple of b / b_i is w = sign(b_i) b: w if sigma(w) <= 0, else none.
-    The short system mirrors it."""
-    w, s = (b, s) if b[i] > 0 else (minus_b, -s)
-    return (w if s <= 0 else None), (w if s >= 0 else None)
-
-
-def _sigma_rows(sigmas: list[int]) -> dict[int, tuple[int, ...]]:
-    """The sigma row (-sign sigma(b_1), ..., -sign sigma(b_r) | 0) of each sign."""
-    return {1: (*[-s for s in sigmas], 0), -1: (*sigmas, 0)}
-
-
-def _purity_refutation(vectors, sigma_rows: dict[int, tuple[int, ...]], i: int, sign: int) -> Optional[tuple[int, ...]]:
-    """The LP witness against atom i being purely long (sign 1) or purely short
-    (sign -1) in rank >= 2: over z = sum t_j b_j, z_i >= 1 and sign sigma(z) <= 0
-    are the integer rows (c | 1) and (u | 0) = sigma_rows[sign], with c the
-    column (b_1i, ..., b_ri) of atom i.
-
-    Farkas' lemma certifies the case of no witness: the two rows admit no t
-    exactly when y c + y' u = 0 for some y > 0 and y' >= 0, that is, when c,
-    nonzero as atom i is not prime, is a negative multiple of u.  In integers
-    that is c . u < 0 and (c . u)^2 = (c . c)(u . u), since by Lagrange's
-    identity the difference is the sum of the squared 2 x 2 minors of c and u."""
-    column = [v[i] for v in vectors]
-    sigma_row = sigma_rows[sign]
-    w = span_witness(((*column, 1), sigma_row), vectors)
-    if w is None:
-        cu = sum(map(mul, column, sigma_row))
-        if cu >= 0 or cu * cu != sum(c * c for c in column) * sum(u * u for u in sigma_row):
-            raise InternalContradiction(f"atom {i} has no purity witness, but its column is no Farkas certificate")
-    elif w[i] < 1 or sign * sum(w) > 0:
-        raise InternalContradiction(f"purity witness {w} for atom {i} violates the system it solves")
-    return w
+    Test 1: where c_j != 0 and -sign sigma_j c_j >= 0, the first elimination
+    level pairs no rows (the sigma row lies on the side of the other one, or
+    is 0 there and is solved at t = 0 later), so the point is t_j = 1 / c_j
+    with every other t at 0, and sign(c_j) b_j is primitive as the basis is
+    saturated.  Test 2: by Farkas' lemma the rows admit no t exactly when
+    y c = y' sign sigma for some y > 0 and y' >= 0, that is, when c is a
+    positive multiple of sign sigma.  Once test 1 fails, sigma_j != 0 and
+    sign sigma_j c_j >= 0, so that holds exactly when c sigma_j = c_j sigma,
+    at the indices below j as both vanish past it: c_j = 0 fails this, as
+    c != 0.  So test 2 holds for one sign at most, and in rank one, where
+    c = (b_i) and j = 0, test 1 or test 2 always decides."""
+    vectors = basis.vectors
+    sigmas = [sum(v) for v in vectors]
+    negated = [tuple(map(neg, v)) for v in vectors]
+    answers = []
+    for i, column in enumerate(zip(*vectors) if vectors else [()] * basis.dim):
+        if not any(column):
+            answers.append(None)
+            continue
+        j = len(column) - 1
+        while not (column[j] or sigmas[j]):
+            j -= 1
+        c, s = column[j], sigmas[j]
+        refutations = []
+        for sign in (1, -1):
+            if c and sign * s * c <= 0:
+                w = vectors[j] if c > 0 else negated[j]
+            elif not j or [s * x for x in column[:j]] == [c * y for y in sigmas[:j]]:
+                w = None
+            else:
+                w = span_witness(((*column, 1), (*[-sign * y for y in sigmas], 0)), vectors)
+                if w is None:
+                    raise InternalContradiction(f"atom {i} has no purity witness, but its column is no Farkas certificate")
+                if w[i] < 1 or sign * sum(w) > 0:
+                    raise InternalContradiction(f"purity witness {w} for atom {i} violates the system it solves")
+            refutations.append(w)
+        answers.append(refutations)
+    return answers
 
 
 def classify(presentation: MonoidPresentation) -> ClassificationReport:
     """Full exact classification of a validated, atoms-only presentation."""
     basis = require_atoms(presentation).kernel
-    k = presentation.atom_count
     rank = basis.rank
     sigmas = [sum(v) for v in basis.vectors]
 
@@ -206,31 +218,15 @@ def classify(presentation: MonoidPresentation) -> ClassificationReport:
 
     labels: list[AtomLabel] = []
     witnesses: dict[str, tuple[int, ...]] = {}
-    # What every atom's purity systems share is built once: -b in rank one,
-    # the two sigma rows above it.
-    if rank == 1:
-        b = basis.vectors[0]
-        minus_b = tuple(-c for c in b)
-    else:
-        sigma_rows = _sigma_rows(sigmas)
-    columns = zip(*basis.vectors) if rank else [()] * k  # atom i's column (b_1i, ..., b_ri)
-    for i, column in enumerate(columns):
-        if not any(column):
+    for i, refutations in enumerate(_purity_refutations(basis)):
+        if refutations is None:
             labels.append(AtomLabel.PRIME)
             continue
-        if rank == 1:
-            long_refutation, short_refutation = _rank_one_refutations(b, minus_b, sigmas[0], i)
-        else:
-            long_refutation = _purity_refutation(basis.vectors, sigma_rows, i, 1)
-            short_refutation = _purity_refutation(basis.vectors, sigma_rows, i, -1)
+        long_refutation, short_refutation = refutations
         if long_refutation is not None:
             witnesses[f"atom{i}_not_purely_long"] = long_refutation
         if short_refutation is not None:
             witnesses[f"atom{i}_not_purely_short"] = short_refutation
-        if long_refutation is None and short_refutation is None:
-            raise InternalContradiction(
-                f"atom {i} occurs in the kernel but refutes both purity systems"
-            )
         if long_refutation is None:
             labels.append(AtomLabel.PURELY_LONG)
         elif short_refutation is None:

@@ -132,9 +132,10 @@ def pls_example(purely_long: int, purely_short: int) -> MonoidPresentation:
     for L = 2 and ``1^L`` beyond.  Every admissible spec has the requested
     counts: the kernel of its realization is spanned by the primitive
     w = (a, -b), whose coordinate sum sigma(w) = sum(a) - sum(b) is positive.
-    By the rank-one rule of :mod:`factolab.classify` (atom i is purely long iff
-    sigma(w) w_i > 0 and purely short iff sigma(w) w_i < 0), each long atom is
-    purely long and each short atom purely short.  More than
+    By the purity rule of :mod:`factolab.classify`, which in rank one reads
+    atom i as purely long iff sigma(w) w_i > 0 and purely short iff
+    sigma(w) w_i < 0, each long atom is purely long and each short atom purely
+    short.  More than
     ``linalg.MAX_STEPS`` output coordinates, (L + S - 1)^2, raise BudgetExceeded.
     A count that is not an ``int`` (a ``bool`` included) raises ``ValueError``.
     """

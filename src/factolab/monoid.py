@@ -140,11 +140,15 @@ class MonoidPresentation(Frozen):
         return Fraction(common, denominator), NumericalMonoid([n // common for n in numerators])
 
     def evaluate(self, exponents: Sequence[int]) -> QVector:
-        """The element sum_i exponents[i] * generator[i]."""
+        """The element sum_i exponents[i] * generator[i].  An exponent may be
+        negative, as in a kernel vector; one that is not an ``int`` (a ``bool``
+        included) raises ``ValueError``."""
         if len(exponents) != self.atom_count:
             raise DimensionMismatch("exponent vector length does not match generator count")
         out = [Fraction(0)] * self.ambient_dim
         for m, g in zip(exponents, self.generators):
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise ValueError(f"exponent {excerpt(repr(m))} is not an integer")
             if m:
                 for i in range(self.ambient_dim):
                     out[i] += m * g[i]

@@ -8,7 +8,9 @@ Fourier-Motzkin elimination the library once used, kept to check the loop
 that replaced it.  ``reference_grading`` keeps validation on the rational
 generators, to check the validation on their integer form against.
 ``reference_pls_spec`` is the search ``pls_example`` once ran, kept to check
-the closed form that replaced it.
+the closed form that replaced it.  ``Counted`` is no oracle: it wraps a
+fake that a test patches into the package, so that the test can assert that
+the fake ran before the raise it expects.
 """
 
 from __future__ import annotations
@@ -17,6 +19,17 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
+
+
+class Counted:
+    """A callable that forwards each call to ``function`` and counts it."""
+
+    def __init__(self, function):
+        self.function, self.calls = function, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.function(*args)
 
 
 def solve_rational_combination(

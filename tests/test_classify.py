@@ -14,9 +14,7 @@ from factolab.classify import (
     AtomLabel,
     FactorizationRelation,
     _balanced_kernel_vector,
-    _purity_refutation,
-    _rank_one_refutations,
-    _sigma_rows,
+    _purity_refutations,
     classify,
     relation_evidence,
 )
@@ -36,7 +34,7 @@ from factolab.monoid import (
     normalize_atoms,
     validate_presentation,
 )
-from helpers import box_relations
+from helpers import Counted, box_relations
 
 
 def numerical(*values, label=None):
@@ -401,9 +399,35 @@ def test_relation_evidence_returns_a_fresh_list_each_call():
     assert relation_evidence(p, 8) == relation_evidence(numerical(3, 4, 5), 8)
 
 
+def infeasible_purity_systems(basis):
+    """Check each atom's two purity answers against the LP, and the Farkas
+    closed form wherever the LP is infeasible; list, for each atom that is
+    not prime, how many of its two systems are infeasible."""
+    k = basis.dim
+    sigmas = [sum(v) for v in basis.vectors]
+    counts = []
+    for i, refutations in enumerate(_purity_refutations(basis)):
+        column = [v[i] for v in basis.vectors]
+        if not any(column):
+            assert refutations is None, (basis, i)
+            continue
+        unit = tuple(int(j == i) for j in range(k))
+        counts.append(0)
+        for sign, refutation in zip((1, -1), refutations):
+            expected = homogeneous_lp_witness(basis, unit, [(sign,) * k])
+            assert refutation == expected, (basis, i, sign)
+            if expected is None:
+                counts[-1] += 1
+                pairs = itertools.combinations(zip(column, sigmas), 2)
+                assert all(a * t == c * s for (a, s), (c, t) in pairs), (basis, i, sign)
+                assert sign * sum(c * s for c, s in zip(column, sigmas)) > 0, (basis, i, sign)
+    return counts
+
+
 def test_rank_one_reading_matches_the_lp():
     # b spans the kernel of a basis of its own orthogonal complement; every
-    # third b is made balanced, and many have negative entries
+    # third b is made balanced, and many have negative entries.  Exactly one
+    # label holds for each atom of b when sigma(b) != 0, and none when it is 0
     rng = random.Random(3131)
     balanced = mixed = 0
     for _ in range(300):
@@ -421,14 +445,7 @@ def test_rank_one_reading_matches_the_lp():
         mixed += min(b) < 0
         if sum(b) == 0:  # the lattice is Z b, so its primitive vectors are b and -b
             assert _balanced_kernel_vector(basis) in (b, tuple(-c for c in b)), b
-        for i in range(k):
-            if b[i] == 0:
-                continue
-            unit = tuple(int(j == i) for j in range(k))
-            assert _rank_one_refutations(b, tuple(-c for c in b), sum(b), i) == (
-                homogeneous_lp_witness(basis, unit, [(1,) * k]),
-                homogeneous_lp_witness(basis, unit, [(-1,) * k]),
-            ), (b, i)
+        assert infeasible_purity_systems(basis) == [int(sum(b) != 0)] * sum(c != 0 for c in b), b
     assert balanced >= 80 and mixed >= 200
 
 
@@ -446,27 +463,40 @@ def test_purity_refutation_matches_the_lp():
         rows.append([1] * k)
         rows[-1][rng.randrange(k)] -= rng.choice((-3, -2, -1, 1, 2, 3))
         basis = integer_kernel(rows)
-        sigmas = [sum(v) for v in basis.vectors]
-        sigma_rows = _sigma_rows(sigmas)
         ranks.add(basis.rank)
         # the kernel is saturated, so a vector of it is a lattice vector
         v = _balanced_kernel_vector(basis)
         assert any(v) and sum(v) == 0 and not any(sum(map(mul, row, v)) for row in rows), basis
-        for i in range(k):
-            column = [v[i] for v in basis.vectors]
-            if not any(column):
-                continue
-            unit = tuple(int(j == i) for j in range(k))
-            for sign in (1, -1):
-                expected = homogeneous_lp_witness(basis, unit, [(sign,) * k])
-                assert _purity_refutation(basis.vectors, sigma_rows, i, sign) == expected, (basis, i, sign)
-                cases += 1
-                if expected is None:
-                    infeasible += 1
-                    pairs = itertools.combinations(zip(column, sigmas), 2)
-                    assert all(a * t == c * s for (a, s), (c, t) in pairs), (basis, i, sign)
-                    assert sign * sum(c * s for c, s in zip(column, sigmas)) > 0, (basis, i, sign)
+        counts = infeasible_purity_systems(basis)
+        cases += 2 * len(counts)
+        infeasible += sum(counts)
     assert ranks == set(range(2, 13)) and (cases, infeasible) == (2220, 123)
+
+
+def test_few_purity_systems_reach_the_lp(monkeypatch):
+    # each non-prime atom poses two systems, and the elimination order or
+    # Farkas' closed form decides all but these.  The truncations are those
+    # the classify-batch benchmark classifies: the signed family at 3..6, the
+    # product and strip families at 4..8
+    module = importlib.import_module("factolab.classify")
+    lp = Counted(module.span_witness)
+    monkeypatch.setattr(module, "span_witness", lp)
+
+    def lp_calls_and_systems(presentations):
+        lp.calls, systems = 0, 0
+        for p in presentations:
+            systems += 2 * (p.atom_count - len(classify(p).prime))
+        return lp.calls, systems
+
+    assert lp_calls_and_systems(fx.presentation for fx in fixture_gallery(3)) == (2, 54)
+    families = {"signed-neither-cloud": range(3, 7), "pure-pair-with-neither-cloud": range(4, 9),
+                "half-factorial-strip": range(4, 9)}
+    truncations = (
+        fx.presentation
+        for family, ks in families.items() for k in ks
+        for fx in fixture_gallery(k) if fx.name == f"{family}-{k}"
+    )
+    assert lp_calls_and_systems(truncations) == (20, 256)
 
 
 def labels_consistent_with_evidence(p, bound):
@@ -592,37 +622,45 @@ def test_random_presentations_labels_vs_evidence():
 def test_classify_certificate_checks_raise(monkeypatch):
     # the package attribute factolab.classify is the function, not the module
     module = importlib.import_module("factolab.classify")
-    p345 = numerical(3, 4, 5)
-    monkeypatch.setattr(module, "_balanced_kernel_vector", lambda basis: (1, 0, 0))
+    fake = Counted(lambda basis: (1, 0, 0))
+    monkeypatch.setattr(module, "_balanced_kernel_vector", fake)
     with pytest.raises(InternalContradiction, match="no balanced relation"):
-        classify(p345)
-    monkeypatch.setattr(module, "_purity_refutation", lambda *args: None)
-    with pytest.raises(InternalContradiction, match="refutes both purity systems"):
-        classify(p345)
-
-
-@pytest.mark.parametrize("nums", [[0, 0], [1, 0]])
-def test_purity_certificate_check_raises_on_a_bad_point(monkeypatch, nums):
-    # the kernel of (3, 4, 5) is spanned by (4, -3, 0) and (1, -2, 1): the point
-    # 0 misses z_0 >= 1, and (4, -3, 0) breaks sigma(z) <= 0 for atom 0 long
-    monkeypatch.setattr("factolab.linalg.fourier_motzkin", lambda rows, nvars: (nums, 1))
-    with pytest.raises(InternalContradiction, match="violates the system it solves"):
         classify(numerical(3, 4, 5))
+    assert fake.calls == 1
+
+
+# signed-neither-cloud-3 has the kernel basis b_1 = e_2 - 2 e_3 + e_4,
+# b_2 = 3 e_0 - 2 e_1 and four more vectors that leave atom 2 out, so atom 2
+# has the column (1, 0, 0, 0, 0, 0) against the sigmas (0, 1, 0, 0, 0, 0).
+# Both of its purity systems, and no other, reach the LP.
+SIGNED_NEITHER_CLOUD = next(fx for fx in fixture_gallery(3) if fx.name == "signed-neither-cloud-3").presentation
+
+
+@pytest.mark.parametrize("nums", [[0] * 6, [1, 1, 0, 0, 0, 0]])
+def test_purity_certificate_check_raises_on_a_bad_point(monkeypatch, nums):
+    # the point 0 misses z_2 >= 1, and b_1 + b_2 breaks sigma(z) <= 0 for atom 2 long
+    fake = Counted(lambda rows, nvars: (nums, 1))
+    monkeypatch.setattr("factolab.linalg.fourier_motzkin", fake)
+    with pytest.raises(InternalContradiction, match="violates the system it solves"):
+        classify(SIGNED_NEITHER_CLOUD)
+    assert fake.calls == 1
 
 
 def test_purity_farkas_check_raises_without_a_certificate(monkeypatch):
-    # every atom of (3, 4, 5) is neither purely long nor purely short, so no
-    # column is a multiple of the sigmas and an empty answer must be refused
-    monkeypatch.setattr("factolab.linalg.fourier_motzkin", lambda rows, nvars: None)
+    # atom 2 is neither purely long nor purely short, so its column is no
+    # multiple of the sigmas and an empty answer must be refused
+    fake = Counted(lambda rows, nvars: None)
+    monkeypatch.setattr("factolab.linalg.fourier_motzkin", fake)
     with pytest.raises(InternalContradiction, match="no Farkas certificate"):
-        classify(numerical(3, 4, 5))
+        classify(SIGNED_NEITHER_CLOUD)
+    assert fake.calls == 1
 
 
 # ---------------------------------------------------------------------------
 # pinned LP points
 # ---------------------------------------------------------------------------
 
-# Witnesses of fixture_gallery(3), each found by a Fourier-Motzkin solve.
+# Witnesses of fixture_gallery(3), each the point a Fourier-Motzkin solve returns.
 PINNED_GALLERY_WITNESSES = {
     "lfm-pair-2-3": {
         "atom0_not_purely_short": (3, -2),

@@ -26,6 +26,7 @@ from factolab.linalg import (
 )
 from factolab.monoid import BudgetExceeded
 from helpers import (
+    Counted,
     brute_force_kernel_vectors,
     in_lattice,
     mat_mul,
@@ -189,9 +190,11 @@ def test_lp_witness_is_integral_and_satisfies_constraints():
 def test_lp_witness_check_raises_on_a_bad_point(monkeypatch, t):
     # t = 0 gives z = 0, which misses strict >= 1; t = 1 gives z = (3, -2),
     # whose coordinate sum 1 breaks the nonstrict sum <= 0.
-    monkeypatch.setattr(linalg, "fourier_motzkin", lambda rows, nvars: ([t.numerator], t.denominator))
+    fake = Counted(lambda rows, nvars: ([t.numerator], t.denominator))
+    monkeypatch.setattr(linalg, "fourier_motzkin", fake)
     with pytest.raises(InternalContradiction):
         homogeneous_lp_witness(LatticeBasis(2, ((3, -2),)), (1, 0), [(1, 1)])
+    assert fake.calls == 1
 
 
 def test_certificate_check_survives_optimize_flag():

@@ -32,6 +32,7 @@ from factolab.monoid import (
     validate_presentation,
 )
 from helpers import (
+    Counted,
     box_evaluate,
     box_factorizations,
     box_relations,
@@ -180,19 +181,23 @@ def test_fourier_motzkin_grading_is_built_on_first_use():
 def test_grading_point_check_raises(monkeypatch, nums):
     # the scaled columns are (1, -6), (0, 1) and (2, -9): each point grades one
     # of them by 0 or less, which used to divide by zero or grade a generator negatively
-    monkeypatch.setattr("factolab.monoid.fourier_motzkin", lambda rows, nvars: (nums, 1))
+    fake = Counted(lambda rows, nvars: (nums, 1))
+    monkeypatch.setattr("factolab.monoid.fourier_motzkin", fake)
     p = MonoidPresentation.from_generators(INTEGER_FORM_CASES["Fourier-Motzkin"][0])
     with pytest.raises(InternalContradiction) as exc:
         classify(p)
     assert str(exc.value) == "the grading point does not grade every generator positively"
+    assert fake.calls == 1
 
 
 def test_not_pointed_check_raises_without_a_witness(monkeypatch):
-    monkeypatch.setattr("factolab.monoid.homogeneous_lp_witness", lambda *args: None)
+    fake = Counted(lambda *args: None)
+    monkeypatch.setattr("factolab.monoid.homogeneous_lp_witness", fake)
     p = MonoidPresentation.from_generators([(1, 0), (-1, 0)])
     with pytest.raises(InternalContradiction) as exc:
         validate_presentation(p)
     assert str(exc.value) == "no grading found and no nonnegative kernel witness either"
+    assert fake.calls == 2  # one LP per generator
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +311,19 @@ def test_factorizations_sound():
         with pytest.raises(DimensionMismatch) as excinfo:
             call()
         assert excinfo.type is DimensionMismatch and str(excinfo.value) == message
+
+
+def test_evaluate_takes_integer_exponents_only():
+    # a float used to put a float into the element, and a bool passed as 0 or 1;
+    # a negative int stays valid, as kernel vectors are evaluated
+    p = MonoidPresentation.from_values([2, 3])
+    for exponents, shown in [([Fraction(1, 2), 1], "Fraction(1, 2)"), ([0.5, 1], "0.5"), ([True, 2], "True"),
+                             ([1, 2.0], "2.0"), ([0, False], "False")]:
+        with pytest.raises(ValueError) as excinfo:
+            p.evaluate(exponents)
+        assert str(excinfo.value) == f"exponent {shown} is not an integer"
+    assert p.evaluate([3, -2]) == (Fraction(0),)
+    assert all(type(c) is Fraction for c in p.evaluate([-1, 4]))
 
 
 def naive_box_factorizations(p, x, box):

@@ -28,7 +28,7 @@ from factolab.semiring import (
     rank_one_membership,
 )
 
-from helpers import box_atom_test, dense_divide, dense_mul, dense_trim
+from helpers import Counted, box_atom_test, dense_divide, dense_mul, dense_trim
 
 
 def nat_poly(*ascending_coeffs):
@@ -604,10 +604,12 @@ def test_atom_search_step_budget(monkeypatch):
 
 def test_atom_search_certificate_check_raises(monkeypatch):
     f = SemiringPolynomial.from_terms([(2, 1), (1, 2), (0, 1)])
-    monkeypatch.setattr("factolab.semiring.poly_divide_exact", lambda f, g: None)
+    fake = Counted(lambda f, g: None)
+    monkeypatch.setattr("factolab.semiring.poly_divide_exact", fake)
     with pytest.raises(InternalContradiction) as exc:
         natural_atom_test(f)
     assert str(exc.value) == "divisor x + 1 passed the integer check but not the division"
+    assert fake.calls == 1
 
 
 def test_natural_atom_test_rejects_rational_domain():
@@ -806,10 +808,12 @@ def test_algebra_witness_all_coprime_pairs_to_9():
     ("_multiply_out", lambda factors, monoid: factors[0][0], "the two factorizations disagree"),
 ])
 def test_algebra_witness_certificate_checks_raise(monkeypatch, name, fake, message):
+    fake = Counted(fake)
     monkeypatch.setattr(f"factolab.semiring.{name}", fake)
     with pytest.raises(InternalContradiction) as exc:
         algebra_witness(2, 3)
     assert str(exc.value) == message
+    assert fake.calls
 
 
 def test_algebra_witness_rejects_bad_pairs():
