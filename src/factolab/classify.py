@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from enum import Enum
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import floor, gcd
 from operator import itemgetter, neg
 from typing import NamedTuple, Optional
@@ -324,33 +324,47 @@ def relation_evidence(presentation: MonoidPresentation, bound) -> list[Factoriza
     keys = [sum(c * radix**r for r, c in enumerate(reversed(x))) for x in form.columns]
     t = grades.index(min(grades))
     i = next(r for r, c in enumerate(form.columns[t]) if c)  # a coordinate that t moves
-    prefixes = [((), 0, 0, 0, 0)]  # (exponents on the generators but t, key, coordinate i, grade, support)
+    # Per prefix: its key, coordinate i, grade and support mask.  The exponents
+    # are not kept: the children of a prefix are consecutive, m = 0, 1, ..., so
+    # each level records where the children of each prefix before it start.
+    values, coordinates, useds, masks = [0], [0], [0], [0]
+    levels = []  # (j, starts) per generator j but t, in order
     for j, (x, key, grade) in enumerate(zip(form.columns, keys, grades)):
         if j == t:
             continue
-        if len(prefixes) + sum((budget - used) // grade for _, _, _, used, _ in prefixes) > max_steps:
+        counts = [(budget - used) // grade + 1 for used in useds]
+        if sum(counts) > max_steps:
             raise BudgetExceeded(over_budget)
+        levels.append((j, list(accumulate(counts, initial=0))))
         c, bit = x[i], 1 << j
-        prefixes = [
-            (z + (m,), value + m * key, coordinate + m * c, used + m * grade, mask | bit if m else mask)
-            for z, value, coordinate, used, mask in prefixes
-            for m in range((budget - used) // grade + 1)
-        ]
+        values = [v + m * key for v, n in zip(values, counts) for m in range(n)]
+        coordinates = [v + m * c for v, n in zip(coordinates, counts) for m in range(n)]
+        useds = [v + m * grade for v, n in zip(useds, counts) for m in range(n)]
+        masks = [v | bit if m else v for v, n in zip(masks, counts) for m in range(n)]
+
+    def exponents(p: int, s: int) -> tuple[int, ...]:
+        """The exponent vector of prefix p with s copies of t."""
+        z = [0] * len(grades)
+        z[t] = s
+        for j, starts in reversed(levels):
+            parent = bisect_right(starts, p) - 1
+            z[j], p = p - starts[parent], parent
+        return tuple(z)
 
     key_t, lead, grade_t = keys[t], form.columns[t][i], grades[t]
-    classes: dict[int, list] = {}
-    for prefix in prefixes:
-        _, value, coordinate, _, _ = prefix
-        classes.setdefault(value - coordinate // lead * key_t, []).append(prefix)
-    steps = len(prefixes)
+    classes: dict[int, list[int]] = {}
+    for p, (value, coordinate) in enumerate(zip(values, coordinates)):
+        classes.setdefault(value - coordinate // lead * key_t, []).append(p)
+    del coordinates  # not needed past the classes, and the relations found below set the peak
+    steps = len(values)
     # Scaled grades and element keys sort as the rational grades and elements do.
     found: list[tuple] = []
     for members in classes.values():
         if len(members) < 2:
             continue
-        supports: dict[int, list] = {}
-        for prefix in members:
-            supports.setdefault(prefix[-1], []).append(prefix)  # by support mask
+        supports: dict[int, list[int]] = {}
+        for p in members:
+            supports.setdefault(masks[p], []).append(p)
         for (mask1, side1), (mask2, side2) in combinations(supports.items(), 2):
             disjoint = not mask1 & mask2
             steps += len(side1) * len(side2) if disjoint else 1
@@ -358,14 +372,14 @@ def relation_evidence(presentation: MonoidPresentation, bound) -> list[Factoriza
                 raise BudgetExceeded(over_budget)
             if not disjoint:
                 continue
-            for one, other in product(side1, side2):
-                s = (one[1] - other[1]) // key_t  # the difference of the quotients, exact in a class
-                (z, value, _, used, _), (z_low, _, _, used_low, _) = (one, other) if s >= 0 else (other, one)
-                s = abs(s)
-                if used_low + s * grade_t <= budget:
-                    a, b = z[:t] + (0,) + z[t:], z_low[:t] + (s,) + z_low[t:]
+            for one, low in product(side1, side2):
+                s = (values[one] - values[low]) // key_t  # the difference of the quotients, exact in a class
+                if s < 0:
+                    one, low, s = low, one, -s
+                if useds[low] + s * grade_t <= budget:
+                    a, b = exponents(one, 0), exponents(low, s)
                     pair = (a, b) if (sum(a), a) > (sum(b), b) else (b, a)
-                    found.append((used, value, FactorizationRelation(*pair)))
+                    found.append((useds[one], values[one], FactorizationRelation(*pair)))
     found.sort()
     if kept is None or kept[0] < budget:
         form.relation_search = budget, steps, found

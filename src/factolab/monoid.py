@@ -10,11 +10,12 @@ element are exponent vectors over the generators and are enumerated exactly.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .linalg import (
@@ -35,6 +36,10 @@ from .linalg import (
 
 QVector = tuple[Fraction, ...]
 FactorizationVector = tuple[int, ...]
+
+# The most total weight of the answers one integer form keeps, where an answer
+# weighs its length + 1 (see IntegerForm.recall).
+ANSWER_WEIGHT_CAP = 1 << 15
 
 
 class InvalidGenerator(ValueError):
@@ -237,6 +242,11 @@ class IntegerForm:
     elements.  Every search runs under these grades, on ``reduction``, an
     elimination of the columns.  Only :attr:`grading`, the rational h, holds
     fractions; it is built on first use.
+
+    ``answers`` keeps the recent answers of :func:`enumerate_factorizations`,
+    :func:`length_set` and :func:`atomic_divisors`, so that a query asked
+    again costs one lookup (see :meth:`recall`).  ``relation_search`` keeps
+    the largest search of :func:`~factolab.classify.relation_evidence`.
     """
 
     def __init__(self, presentation: MonoidPresentation):
@@ -275,6 +285,33 @@ class IntegerForm:
         self.grades = tuple(sum(map(mul, self.weights, x)) for x in self.columns)
         # (budget, steps, found) of the largest search classify.relation_evidence completed
         self.relation_search: Optional[tuple[int, int, list]] = None
+        # (query, target, MAX_STEPS) -> answer, least recently used first, and their weight
+        self.answers: OrderedDict[tuple, Collection] = OrderedDict()
+        self.answer_weight = 0
+
+    def recall(self, query: Callable[["IntegerForm", IntVector], Collection], target: IntVector) -> Collection:
+        """``query(self, target)``, answered from ``answers`` when the same
+        query on the same target was answered under the same
+        ``factolab.linalg.MAX_STEPS``.  Only an answer is kept, never an
+        exception, so a call under another budget walks afresh and succeeds
+        or fails exactly as a fresh walk would.  An answer must be immutable,
+        and weighs its length + 1; the least recently used answers are
+        dropped while the kept weight exceeds ``ANSWER_WEIGHT_CAP``, and an
+        answer heavier than the whole cap is returned but not kept."""
+        key = query, target, linalg.MAX_STEPS
+        answers = self.answers
+        answer = answers.get(key)
+        if answer is not None:
+            answers.move_to_end(key)
+            return answer
+        answer = query(self, target)
+        weight = len(answer) + 1
+        if weight <= ANSWER_WEIGHT_CAP:
+            answers[key] = answer
+            self.answer_weight += weight
+            while self.answer_weight > ANSWER_WEIGHT_CAP:
+                self.answer_weight -= len(answers.popitem(last=False)[1]) + 1
+        return answer
 
     @cached_property
     def grading(self) -> Grading:
@@ -521,10 +558,16 @@ def enumerate_factorizations(presentation: MonoidPresentation, element: Iterable
     result does not depend on it.  The empty tuple means the element is not in
     the monoid.  Generators need not be atoms; the result then lists generator
     decompositions.  A search longer than the budget of
-    :meth:`IntegerForm.solutions` raises BudgetExceeded.
+    :meth:`IntegerForm.solutions` raises BudgetExceeded.  The answer is kept
+    by :meth:`IntegerForm.recall`, and the same tuple is returned when the
+    element is asked again under the same budget.
     """
     target = _target(presentation, element)
-    return () if target is None else tuple(presentation.integer_form.solutions(target))
+    return () if target is None else presentation.integer_form.recall(_factorizations, target)
+
+
+def _factorizations(form: IntegerForm, target: IntVector) -> tuple[FactorizationVector, ...]:
+    return tuple(form.solutions(target))
 
 
 def length_set(presentation: MonoidPresentation, element: Iterable) -> set[int]:
@@ -538,15 +581,18 @@ def length_set(presentation: MonoidPresentation, element: Iterable) -> set[int]:
     least grades; bit i stands for the least of these lengths plus i.  When
     more lengths than ``factolab.linalg.MAX_STEPS`` lie between them, the
     lengths are read off each solution instead, counted as
-    :meth:`IntegerForm.solutions` counts."""
+    :meth:`IntegerForm.solutions` counts.  The answer is kept as a frozenset
+    by :meth:`IntegerForm.recall`, and every call returns a fresh set built
+    from it, so a caller may change the set it gets."""
     target = _target(presentation, element)
-    if target is None:
-        return set()
-    form = presentation.integer_form
+    return set() if target is None else set(presentation.integer_form.recall(_lengths, target))
+
+
+def _lengths(form: IntegerForm, target: IntVector) -> frozenset[int]:
     grade = sum(map(mul, form.weights, target))
     low = -(-grade // max(form.grades))
     if grade // min(form.grades) - low >= linalg.MAX_STEPS:
-        return {sum(z) for z in form.solutions(target)}
+        return frozenset(sum(z) for z in form.solutions(target))
     slope = sum(form.reduction.move)
     gap = abs(slope)
     bits = 0
@@ -556,7 +602,7 @@ def length_set(presentation: MonoidPresentation, element: Iterable) -> set[int]:
             bits |= ((1 << gap * count) - 1) // ((1 << gap) - 1) << min(start, start + (count - 1) * slope)
         else:
             bits |= 1 << start
-    return {low + i for i, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"}
+    return frozenset(low + i for i, bit in enumerate(bin(bits)[:1:-1]) if bit == "1")
 
 
 def atomic_divisors(presentation: MonoidPresentation, element: Iterable) -> set[int]:
@@ -565,21 +611,24 @@ def atomic_divisors(presentation: MonoidPresentation, element: Iterable) -> set[
     end points: every exponent is affine along it, so one that ``move``
     changes is positive at an end of a leaf of two or more solutions.  The
     walk stops once every generator has appeared, so its budget is spent
-    only while one is still missing."""
+    only while one is still missing.  The answer is kept as a frozenset by
+    :meth:`IntegerForm.recall`, and every call returns a fresh set built
+    from it, so a caller may change the set it gets."""
     target = _target(presentation, element)
+    return set() if target is None else set(presentation.integer_form.recall(_divisors, target))
+
+
+def _divisors(form: IntegerForm, target: IntVector) -> frozenset[int]:
     divisors: set[int] = set()
-    if target is None:
-        return divisors
-    form = presentation.integer_form
-    indices = range(presentation.atom_count)
+    indices = range(len(form.columns))
     moving = list(compress(indices, form.reduction.move))
     for z, count in form._leaves(target, False):
         divisors.update(compress(indices, z))
         if count > 1:
             divisors.update(moving)
-        if len(divisors) == presentation.atom_count:
+        if len(divisors) == len(indices):
             break
-    return divisors
+    return frozenset(divisors)
 
 
 # ---------------------------------------------------------------------------

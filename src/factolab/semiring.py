@@ -394,24 +394,28 @@ def poly_mul(
 
 
 def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
-    """``f ** power``.  A monomial's power is built in one step; any other
-    ``f`` is raised by squaring, where a product of m and n terms is m n
-    steps, and steps past ``linalg.MAX_STEPS`` raise BudgetExceeded before
-    they are made.  A power that is not a nonnegative ``int`` raises
-    ``ValueError``."""
+    """``f ** power``.  A monomial's power is built in one step, except that
+    the power of a coefficient other than 1 or -1 counts ``power`` steps, as
+    its size grows with the power; any other ``f`` is raised by squaring,
+    where a product of m and n terms is m n steps.  Steps past
+    ``linalg.MAX_STEPS`` raise BudgetExceeded before they are made.  A power
+    that is not a nonnegative ``int`` raises ``ValueError``."""
     if not isinstance(power, int) or isinstance(power, bool):
         raise ValueError(f"power {excerpt(repr(power))} is not an integer")
     if power < 0:
         raise ValueError("negative powers are not defined in a semiring")
+    over_budget = f"poly_pow exceeded its budget of {linalg.MAX_STEPS} steps"
     if len(f.index_terms) == 1:
         (n, c), = f.index_terms
+        if abs(c) != 1 and power > linalg.MAX_STEPS:
+            raise BudgetExceeded(over_budget)
         return _closed(f, {n * power: c ** power})
     result, steps = _closed(f, {0: 1}), 0
     while power:
         odd, power, n = power & 1, power >> 1, len(f.index_terms)
         steps += (len(result.index_terms) * n if odd else 0) + (n * n if power else 0)  # this round's products
         if steps > linalg.MAX_STEPS:
-            raise BudgetExceeded(f"poly_pow exceeded its budget of {linalg.MAX_STEPS} steps")
+            raise BudgetExceeded(over_budget)
         if odd:
             result = poly_mul(result, f)
         if power:

@@ -24,6 +24,9 @@ from factolab import (
     relation_evidence,
 )
 from factolab.linalg import BudgetExceeded
+from factolab.monoid import IntegerForm
+
+from helpers import Counted
 
 DIGEST = "22bbccef4b7f98b63b9cf158445ddb019165fe437ad4e71862d3f3caad966fd3"
 
@@ -83,3 +86,31 @@ def test_outputs_match_the_pinned_digest(monkeypatch):
         for purely_short in range(1, 4):
             digest.update(json.dumps(pls_example(purely_long, purely_short).to_json_dict()).encode())
     assert digest.hexdigest() == DIGEST
+
+
+def test_a_second_pass_reads_the_kept_answers(monkeypatch):
+    # the 918 factorization queries of the digest's draws of seed 1, none of
+    # which raises, asked twice of the same presentation objects: the second
+    # pass gives the same answers without a walk
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**5)
+    queries = []
+    rng = random.Random(1)
+    for _ in range(300):
+        gens, exponents, loose = draw(rng)
+        try:
+            p = MonoidPresentation.from_generators(gens)
+            q = normalize_atoms(p)
+        except (ValueError, BudgetExceeded):
+            continue
+        queries += [(query, q, x) for x in (p.evaluate(exponents), loose)
+                    for query in (enumerate_factorizations, length_set, atomic_divisors)]
+
+    def answers():
+        return [outcome(lambda: query(q, x)) for query, q, x in queries]
+
+    first = answers()
+    leaves = Counted(IntegerForm._leaves)
+    monkeypatch.setattr(IntegerForm, "_leaves", lambda form, *args: leaves(form, *args))
+    assert answers() == first
+    assert not any(isinstance(answer, list) for answer in first)  # a raise reads [type, message]
+    assert (len(queries), leaves.calls) == (918, 0)

@@ -907,6 +907,113 @@ def test_strip_walk_stays_within_budget():
     assert len(enumerate_factorizations(p, (300, 100))) == 436_548
 
 
+def test_atomic_divisors_stops_once_every_generator_appears(monkeypatch):
+    # every generator of <6, 9, 20> occurs within the first leaves of 10^6 and
+    # 10^9, so the walk stops after 4 steps where a whole walk of 10^6 runs
+    # over budget; a kept answer must not be the only thing that stops it
+    for n in (10**6, 10**9):
+        assert atomic_divisors(numerical(6, 9, 20), [n]) == {0, 1, 2}
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 10**4)
+    p = numerical(6, 9, 20)
+    with pytest.raises(BudgetExceeded, match="budget of 10000 steps"):
+        enumerate_factorizations(p, [10**6])
+    assert atomic_divisors(p, [10**6]) == {0, 1, 2}
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 4)
+    assert atomic_divisors(numerical(6, 9, 20), [10**6]) == {0, 1, 2}
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 3)
+    with pytest.raises(BudgetExceeded, match="budget of 3 steps"):
+        atomic_divisors(numerical(6, 9, 20), [10**6])
+
+
+# ---------------------------------------------------------------------------
+# kept answers
+# ---------------------------------------------------------------------------
+
+
+def counted_leaves(monkeypatch):
+    """Count the walks of every integer form from here on."""
+    leaves = Counted(monoid.IntegerForm._leaves)
+    monkeypatch.setattr(monoid.IntegerForm, "_leaves", lambda form, *args: leaves(form, *args))
+    return leaves
+
+
+def test_a_repeated_query_is_answered_without_a_walk(monkeypatch):
+    p = numerical(2, 3)
+    leaves = counted_leaves(monkeypatch)
+    facts = enumerate_factorizations(p, [12])
+    assert (length_set(p, [12]), atomic_divisors(p, [12]), leaves.calls) == ({4, 5, 6}, {0, 1}, 3)
+    assert enumerate_factorizations(p, (Fraction(12),)) is facts == ((0, 4), (3, 2), (6, 0))
+    assert (length_set(p, ["12"]), atomic_divisors(p, [12]), leaves.calls) == ({4, 5, 6}, {0, 1}, 3)
+    # an equal presentation is another object with its own integer form
+    assert (enumerate_factorizations(numerical(2, 3), [12]), leaves.calls) == (facts, 4)
+    # off the grid and in the wrong dimension, nothing is walked or kept
+    assert (enumerate_factorizations(p, [Fraction(1, 2)]), length_set(p, [Fraction(1, 2)])) == ((), set())
+    with pytest.raises(DimensionMismatch):
+        atomic_divisors(p, [1, 2])
+    assert (len(p.integer_form.answers), leaves.calls) == (3, 4)
+
+
+def test_a_returned_set_is_the_callers_own():
+    p = numerical(2, 3)
+    lengths, divisors = length_set(p, [12]), atomic_divisors(p, [7])
+    lengths.add(99)
+    divisors.clear()
+    assert (length_set(p, [12]), atomic_divisors(p, [7])) == ({4, 5, 6}, {0, 1})
+    again = length_set(p, [12])
+    again.discard(4)
+    assert length_set(p, [12]) == {4, 5, 6}
+
+
+def test_a_kept_answer_leaves_a_lower_budget_as_a_fresh_walk(monkeypatch):
+    # 1000 in <6, 9, 20> takes 632 steps to enumerate, 319 for its length set
+    # and 4 for its divisors (test_enumeration_step_budget)
+    queries = [(enumerate_factorizations, 632), (length_set, 319), (atomic_divisors, 4)]
+    p = numerical(6, 9, 20)
+    for query, steps in queries:
+        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps)
+        kept = query(p, [1000])
+        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps - 1)
+        with pytest.raises(BudgetExceeded) as after_kept:
+            query(p, [1000])
+        with pytest.raises(BudgetExceeded) as fresh:
+            query(numerical(6, 9, 20), [1000])
+        assert str(after_kept.value) == str(fresh.value) == f"search exceeded its budget of {steps - 1} steps"
+        monkeypatch.setattr("factolab.linalg.MAX_STEPS", steps)
+        assert query(p, [1000]) == kept
+    # the failed calls kept nothing
+    assert [budget for _, _, budget in p.integer_form.answers] == [632, 319, 4]
+
+
+def test_kept_answers_stay_within_the_weight_cap(monkeypatch):
+    # in <2, 3>: 12 has 3 factorizations (weight 4), 6 has 2 (weight 3), 7 has
+    # 1 (weight 2), the length set of 12 has 3 lengths (weight 4), and 60 has
+    # 11 factorizations (weight 12)
+    monkeypatch.setattr(monoid, "ANSWER_WEIGHT_CAP", 10)
+    p = numerical(2, 3)
+    form = p.integer_form
+    leaves = counted_leaves(monkeypatch)
+
+    def kept():
+        assert form.answer_weight == sum(len(answer) + 1 for answer in form.answers.values()) <= 10
+        return [(query.__name__, target) for query, (target,), _ in form.answers]
+
+    enumerate_factorizations(p, [12])
+    enumerate_factorizations(p, [6])
+    enumerate_factorizations(p, [12])  # now the most recently used
+    enumerate_factorizations(p, [7])
+    assert kept() == [("_factorizations", 6), ("_factorizations", 12), ("_factorizations", 7)]
+    assert (length_set(p, [12]), leaves.calls) == ({4, 5, 6}, 4)
+    assert kept() == [("_factorizations", 12), ("_factorizations", 7), ("_lengths", 12)]
+    assert (len(enumerate_factorizations(p, [60])), leaves.calls) == (11, 5)
+    assert (len(enumerate_factorizations(p, [60])), leaves.calls) == (11, 6)  # returned but not kept
+    assert kept() == [("_factorizations", 12), ("_factorizations", 7), ("_lengths", 12)]
+    assert (enumerate_factorizations(p, [6]), leaves.calls) == (((0, 2), (3, 0)), 7)  # dropped before
+    assert kept() == [("_factorizations", 7), ("_lengths", 12), ("_factorizations", 6)]
+    # 24 has 5 factorizations (weight 6), which drops the two oldest answers
+    assert (len(enumerate_factorizations(p, [24])), leaves.calls) == (5, 8)
+    assert kept() == [("_factorizations", 6), ("_factorizations", 24)]
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 # ---------------------------------------------------------------------------

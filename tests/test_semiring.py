@@ -284,6 +284,22 @@ def test_poly_pow_and_additive_dunder():
             poly_pow(f, bad)
 
 
+def test_poly_pow_of_a_monomial_step_budget(monkeypatch):
+    # 3 x to the power 20 has a coefficient of 20 * log2(3) bits: 20 steps, counted
+    # before the coefficient is built; 1 and -1 stay a single step at any power
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 20)
+    assert poly_pow(nat_poly(0, 3), 20) == SemiringPolynomial.from_terms([(20, 3**20)])
+    assert poly_pow(SemiringPolynomial.from_terms([(1, Fraction(-1, 2))], "Q"), 20) == (
+        SemiringPolynomial.from_terms([(20, Fraction(1, 2**20))], "Q"))
+    monkeypatch.setattr("factolab.linalg.MAX_STEPS", 19)
+    for f in (nat_poly(0, 3), SemiringPolynomial.from_terms([(1, Fraction(-1, 2))], "Q")):
+        with pytest.raises(BudgetExceeded, match="poly_pow exceeded its budget of 19 steps"):
+            poly_pow(f, 20)
+    assert poly_pow(nat_poly(0, 1), 10**12) == SemiringPolynomial.from_terms([(10**12, 1)])
+    minus_x = SemiringPolynomial.from_terms([(1, -1)], "Q")
+    assert poly_pow(minus_x, 10**12 + 1) == SemiringPolynomial.from_terms([(10**12 + 1, -1)], "Q")
+
+
 def test_cross_semiring_operations_rejected():
     f = nat_poly(1, 1)
     g = SemiringPolynomial.from_terms([(1, 1)], "Q")
