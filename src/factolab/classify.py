@@ -45,8 +45,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 from itertools import accumulate, combinations, product
-from math import floor, gcd
-from operator import itemgetter, neg
+from math import gcd
+from operator import neg
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -54,7 +54,7 @@ from .linalg import (
     BudgetExceeded,
     InternalContradiction,
     LatticeBasis,
-    parse_rational,
+    integer_ratio,
     sign_normalized,
     span_witness,
 )
@@ -274,7 +274,8 @@ def relation_evidence(presentation: MonoidPresentation, bound) -> list[Factoriza
     lattice: it pairs prefixes within residue classes of the least-grade
     generator.
 
-    For the integer grade budget, every grade is at least 1, so a prefix
+    The bound becomes the integer grade budget floor(bound * unit), read off
+    its integer ratio.  Every grade is at least 1, so a prefix
     below evaluates to an element x with |x_r| <= budget * m, where m = max|X|
     over every entry of every column.  Its quotient q below has
     |q| <= budget * m, so its class x - q t has entries of absolute value at
@@ -304,19 +305,21 @@ def relation_evidence(presentation: MonoidPresentation, bound) -> list[Factoriza
     at b.  A search fails exactly when its steps pass ``MAX_STEPS``, as no
     level sized before it is built outgrows the last, whose prefixes are
     steps.  So the integer form keeps the largest completed search as
-    ``(budget, steps, found)``, and a call whose budget is at most that one
-    answers from it while those steps are within ``MAX_STEPS``: exactly
-    when, and exactly what, a fresh search would answer.
+    ``(budget, steps, grades, relations)``, the relations' sorted grades
+    beside them, and a call whose budget is at most that one answers the
+    relations up to its budget, one slice, while those steps are within
+    ``MAX_STEPS``: exactly when, and exactly what, a fresh search would
+    answer.  Every call returns a new list.
     """
     form = require_atoms(presentation)
-    budget = floor(parse_rational(bound) * form.unit)
+    num, den = integer_ratio(bound)
+    budget = num * form.unit // den
     if budget < 1:  # below the grade of any generator, and the keys need B > 1
         return []
     max_steps = linalg.MAX_STEPS
     kept = form.relation_search
-    if kept is not None and kept[0] >= budget and kept[1] <= max_steps:
-        found = kept[2]
-        return [rel for _, _, rel in found[:bisect_right(found, budget, key=itemgetter(0))]]
+    if kept[0] >= budget and kept[1] <= max_steps:
+        return kept[3][:bisect_right(kept[2], budget)]
     over_budget = f"search exceeded its budget of {max_steps} steps"
     grades = form.grades
     top = max(abs(c) for x in form.columns for c in x)
@@ -381,6 +384,7 @@ def relation_evidence(presentation: MonoidPresentation, bound) -> list[Factoriza
                     pair = (a, b) if (sum(a), a) > (sum(b), b) else (b, a)
                     found.append((useds[one], values[one], FactorizationRelation(*pair)))
     found.sort()
-    if kept is None or kept[0] < budget:
-        form.relation_search = budget, steps, found
-    return [rel for _, _, rel in found]
+    relations = [rel for _, _, rel in found]
+    if kept[0] < budget:
+        form.relation_search = budget, steps, [grade for grade, _, _ in found], relations
+    return relations[:]

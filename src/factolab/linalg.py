@@ -75,12 +75,18 @@ def parse_rational(value: Rational) -> Fraction:
     raise ValueError(f"cannot interpret {excerpt(repr(value))} as a rational number")
 
 
+def integer_ratio(value: Rational) -> tuple[int, int]:
+    """``parse_rational(value).as_integer_ratio()``: the coprime numerator and
+    positive denominator, read directly off an exact ``int`` or ``Fraction``."""
+    if type(value) is int or type(value) is Fraction:
+        return value.as_integer_ratio()
+    return parse_rational(value).as_integer_ratio()
+
+
 def format_rational(value: Rational) -> str:
     """Canonical string form of a rational: "p/q", or "n" for integers."""
-    q = parse_rational(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    num, den = integer_ratio(value)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def rational_num_den(value: Rational) -> tuple[int, int]:

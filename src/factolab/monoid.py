@@ -31,6 +31,7 @@ from .linalg import (
     fourier_motzkin,
     homogeneous_lp_witness,
     integer_kernel,
+    integer_ratio,
     parse_rational,
 )
 
@@ -76,9 +77,17 @@ class DuplicateGenerator(NotNormalized):
         super().__init__(f"generator {index} duplicates generator {original}; normalize first")
 
 
+def _coordinates(values: Iterable, read: Callable) -> list:
+    """``read`` of each rational; a ``str`` or ``bytes``, which would give one
+    coordinate per character, raises ``ValueError``."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"cannot read {type(values).__name__} {excerpt(repr(values))} as a sequence of rationals")
+    return [read(v) for v in values]
+
+
 def as_element(values: Iterable) -> QVector:
     """Coerce a sequence of rationals into an element vector."""
-    return tuple(parse_rational(v) for v in values)
+    return tuple(_coordinates(values, parse_rational))
 
 
 class Grading(NamedTuple):
@@ -245,8 +254,11 @@ class IntegerForm:
 
     ``answers`` keeps the recent answers of :func:`enumerate_factorizations`,
     :func:`length_set` and :func:`atomic_divisors`, so that a query asked
-    again costs one lookup (see :meth:`recall`).  ``relation_search`` keeps
-    the largest search of :func:`~factolab.classify.relation_evidence`.
+    again costs one lookup after one pass over the element's coordinates
+    (see :meth:`recall`).  ``atoms_only`` records that :func:`require_atoms`
+    passed, and ``relation_search`` keeps the largest search of
+    :func:`~factolab.classify.relation_evidence`, which a call at a bound up
+    to its own answers with one slice.
     """
 
     def __init__(self, presentation: MonoidPresentation):
@@ -283,8 +295,11 @@ class IntegerForm:
         self.unit = math.lcm(*(low // math.gcd(w, low) for w in u))
         self.weights = tuple(w * self.unit // low for w in u)
         self.grades = tuple(sum(map(mul, self.weights, x)) for x in self.columns)
-        # (budget, steps, found) of the largest search classify.relation_evidence completed
-        self.relation_search: Optional[tuple[int, int, list]] = None
+        # whether require_atoms passed
+        self.atoms_only = False
+        # (budget, steps, grades, relations) of the largest search classify.relation_evidence
+        # completed; budget 0 answers no call
+        self.relation_search: tuple[int, int, Sequence[int], Sequence] = 0, 0, (), ()
         # (query, target, MAX_STEPS) -> answer, least recently used first, and their weight
         self.answers: OrderedDict[tuple, Collection] = OrderedDict()
         self.answer_weight = 0
@@ -541,14 +556,17 @@ def _floors(columns: Sequence[IntVector], grades: Sequence[int]) -> tuple:
 
 def _target(presentation: MonoidPresentation, element: Iterable) -> Optional[IntVector]:
     """The element as a column of the integer form, or None when a coordinate
-    lies off the scaled integer grid, so that it is not in the monoid."""
-    x = as_element(element)
-    if len(x) != presentation.ambient_dim:
+    lies off the scaled integer grid, so that it is not in the monoid.  Each
+    coordinate is read once, as an integer ratio, and scaled in one pass."""
+    ratios = _coordinates(element, integer_ratio)
+    if len(ratios) != presentation.ambient_dim:
         raise DimensionMismatch("element does not live in the ambient space")
-    scales = presentation.integer_form.scales
-    if any(s % c.denominator for c, s in zip(x, scales)):
-        return None
-    return tuple(c.numerator * (s // c.denominator) for c, s in zip(x, scales))
+    target = []
+    for (num, den), s in zip(ratios, presentation.integer_form.scales):
+        if s % den:
+            return None
+        target.append(num * (s // den))
+    return tuple(target)
 
 
 def enumerate_factorizations(presentation: MonoidPresentation, element: Iterable) -> tuple[FactorizationVector, ...]:
@@ -664,13 +682,17 @@ def normalize_atoms(presentation: MonoidPresentation) -> MonoidPresentation:
 def require_atoms(presentation: MonoidPresentation) -> IntegerForm:
     """Validate and demand that the presentation lists exactly the atoms:
     the first defect raises DuplicateGenerator or NotAnAtom.  Returns the
-    integer form, without building its rational grading."""
+    integer form, without building its rational grading.  The form records
+    in ``atoms_only`` that it passed, so the scan runs once per form; one
+    that fails is scanned again, and raises the same, on every call."""
     form = presentation.integer_form
-    for i, original in _duplicates(form).items():
-        raise DuplicateGenerator(i, original)
-    for i, witness in enumerate(form.atom_defects):
-        if witness is not None:
-            raise NotAnAtom(i, witness)
+    if not form.atoms_only:
+        for i, original in _duplicates(form).items():
+            raise DuplicateGenerator(i, original)
+        for i, witness in enumerate(form.atom_defects):
+            if witness is not None:
+                raise NotAnAtom(i, witness)
+        form.atoms_only = True
     return form
 
 

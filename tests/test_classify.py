@@ -10,6 +10,7 @@ from operator import mul
 
 import pytest
 
+from factolab import monoid
 from factolab.classify import (
     AtomLabel,
     FactorizationRelation,
@@ -27,7 +28,9 @@ from factolab.linalg import (
 )
 from factolab.monoid import (
     BudgetExceeded,
+    DuplicateGenerator,
     MonoidPresentation,
+    NotAnAtom,
     NotNormalized,
     NotPointed,
     enumerate_factorizations,
@@ -397,6 +400,33 @@ def test_relation_evidence_returns_a_fresh_list_each_call():
     reused.append(None)
     assert relation_evidence(p, 10) == want
     assert relation_evidence(p, 8) == relation_evidence(numerical(3, 4, 5), 8)
+
+
+def test_relation_evidence_checks_the_atoms_once_per_presentation(monkeypatch):
+    scans = Counted(monoid._duplicates)
+    monkeypatch.setattr(monoid, "_duplicates", scans)
+    p = numerical(6, 9, 20)
+    searched = relation_evidence(p, 10)
+    assert scans.calls == 1
+    answers = [relation_evidence(p, bound) for bound in (6, 10, 8)]
+    classify(p)
+    assert scans.calls == 1
+    assert answers == [relation_evidence(numerical(6, 9, 20), bound) for bound in (6, 10, 8)]
+    assert scans.calls == 4
+    assert [len(rels) for rels in answers] == [2, 7, 2] and answers[1] == searched
+    # each answer is the caller's own list
+    for rels in (searched, *answers):
+        rels.append(None)
+    assert relation_evidence(p, 10) == answers[1][:-1] and relation_evidence(p, 6) == answers[0][:-1]
+    # a presentation that fails the check fails it again on every call
+    for q, error, message in [
+        (numerical(2, 3, 5), NotAnAtom, "generator 2 is not an atom (witness (1, 1, 0)); normalize first"),
+        (numerical(2, 3, 2), DuplicateGenerator, "generator 2 duplicates generator 0; normalize first"),
+    ]:
+        for call in [lambda: relation_evidence(q, 10), lambda: classify(q), lambda: relation_evidence(q, 10)]:
+            with pytest.raises(error) as excinfo:
+                call()
+            assert str(excinfo.value) == message
 
 
 def infeasible_purity_systems(basis):

@@ -326,6 +326,60 @@ def test_evaluate_takes_integer_exponents_only():
     assert all(type(c) is Fraction for c in p.evaluate([-1, 4]))
 
 
+ELEMENT_QUERIES = (enumerate_factorizations, length_set, atomic_divisors)
+
+
+def raised(call):
+    """The type and message of the exception ``call()`` raises."""
+    with pytest.raises(Exception) as excinfo:
+        call()
+    return excinfo.type, str(excinfo.value)
+
+
+def test_an_element_is_read_coordinate_by_coordinate():
+    gens = [(Fraction(1, 2), 0), (0, 1), (1, 1)]
+    elements = [(Fraction(3, 2), Fraction(2)), (Fraction(3, 2), 2), ("3/2", " 2 "), ["1.5", "2/1"], ["6/4", 2]]
+    for query in ELEMENT_QUERIES:
+        answers = [query(MonoidPresentation.from_generators(gens), x) for x in elements]
+        assert answers[0] and all(a == answers[0] for a in answers), query
+        p = MonoidPresentation.from_generators(gens)
+        assert all(query(p, x) == answers[0] for x in elements)
+    # a coordinate that is no exact rational raises, before the dimension is
+    # checked or the integer form built: <2, -3> is not pointed
+    q = numerical(2, -3)
+    for x, message in [
+        ([True], "cannot interpret True as a rational number"),
+        ([1.5], "cannot interpret 1.5 as a rational number"),
+        ([1, False], "cannot interpret False as a rational number"),
+        ([2, "x"], "cannot interpret 'x' as a rational number"),
+        (["1/0", 1], "'1/0' has a zero denominator"),
+    ]:
+        for query in ELEMENT_QUERIES:
+            assert raised(lambda: query(q, x)) == (ValueError, message), (query, x)
+    for query in ELEMENT_QUERIES:
+        assert raised(lambda: query(q, [1, 2])) == (DimensionMismatch, "element does not live in the ambient space")
+        assert raised(lambda: query(q, [1])) == (
+            NotPointed, "presentation is not pointed: nonzero nonnegative kernel vector (3, 2)"
+        )
+    # off the scaled integer grid, an element is not in the monoid, and nothing is kept
+    p = MonoidPresentation.from_generators(gens)
+    assert [query(p, (Fraction(1, 4), 1)) for query in ELEMENT_QUERIES] == [(), set(), set()]
+    assert [query(p, ("3/2", "1/3")) for query in ELEMENT_QUERIES] == [(), set(), set()]
+    assert len(p.integer_form.answers) == 0
+
+
+def test_a_string_is_no_element():
+    # a string used to be read one character per coordinate, so "12" asked
+    # for the factorizations of (1, 2)
+    for p in (MonoidPresentation.from_generators([(1, 0), (0, 1), (1, 1)]), numerical(2, 3)):
+        for x, shown in [("12", "str '12'"), (b"12", "bytes b'12'")]:
+            for query in ELEMENT_QUERIES:
+                assert raised(lambda: query(p, x)) == (ValueError, f"cannot read {shown} as a sequence of rationals")
+    for call in (lambda: as_element("12"), lambda: MonoidPresentation.from_generators(["12"])):
+        assert raised(call) == (ValueError, "cannot read str '12' as a sequence of rationals")
+    assert enumerate_factorizations(numerical(2, 3), ["12"]) == ((0, 4), (3, 2), (6, 0))
+
+
 def naive_box_factorizations(p, x, box):
     """Oracle: search the full multiplicity box, pruning once a coordinate
     overshoots (the generators used here are nonnegative)."""
