@@ -26,7 +26,6 @@ from .linalg import (
     homogeneous_lp_witness,
     integer_kernel,
     parse_rational,
-    rational_num_den,
 )
 from .monoid import (
     BudgetExceeded,
@@ -55,7 +54,7 @@ _LAZY = {name: "construct" for name in (
     "AlgebraWitness", "InvalidPair", "NumericalMonoid", "SemiringPolynomial",
     "algebra_witness", "binomial_irreducibility_check", "case1_relation",
     "is_additive_atom", "monoid_elements_up_to", "natural_atom_test",
-    "poly_divide_exact", "poly_mul", "poly_pow", "rank_one_membership",
+    "poly_divide_exact", "poly_mul", "poly_pow",
 )}
 
 

@@ -54,13 +54,28 @@ def excerpt(value) -> str:
     return text if len(text) <= 40 else f"{text[:16]}... ({len(text)} characters)"
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` other than a ``bool``: the package's one
+    rule for an integer argument."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def integer(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` if :func:`is_integer` holds for it, else ``error``
+    "``what`` ``value`` is not an integer": a float or bool is never
+    truncated or read as 0 or 1."""
+    if is_integer(value):
+        return value
+    raise error(f"{what} {excerpt(repr(value))} is not an integer")
+
+
 def parse_rational(value: Rational) -> Fraction:
     """Parse a rational given as ``Fraction``, ``int`` (not ``bool``), or a
     string: an optionally signed integer "n", "p/q" or a decimal "1.5", with
     ASCII digits and optional surrounding whitespace."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_integer(value):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(text := value.strip()):
         try:
@@ -87,17 +102,6 @@ def format_rational(value: Rational) -> str:
     """Canonical string form of a rational: "p/q", or "n" for integers."""
     num, den = integer_ratio(value)
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def rational_num_den(value: Rational) -> tuple[int, int]:
-    """Split a positive rational into its coprime (numerator, denominator).
-
-    Raises ``ValueError`` for zero or negative input.
-    """
-    q = parse_rational(value)
-    if q <= 0:
-        raise ValueError(f"rational_num_den requires a positive rational, got {q}")
-    return q.numerator, q.denominator
 
 
 def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Fraction:

@@ -5,12 +5,18 @@ submonoid they generate.  Validation checks pointedness (no nonzero
 nonnegative integer relation among the generators) and produces a positive
 grading, which bounds every factorization search.  Factorizations of an
 element are exponent vectors over the generators and are enumerated exactly.
+
+A presentation of positive rationals is a numerical monoid scaled by one
+rational unit: :class:`NumericalMonoid` decides membership in it from an
+Apéry set, and :attr:`MonoidPresentation.rank_one` gives the unit and that
+monoid, on which the exponents of :mod:`factolab.semiring` rest.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -30,6 +36,7 @@ from .linalg import (
     format_rational,
     fourier_motzkin,
     homogeneous_lp_witness,
+    integer,
     integer_kernel,
     integer_ratio,
     parse_rational,
@@ -78,9 +85,12 @@ class DuplicateGenerator(NotNormalized):
 
 
 def _coordinates(values: Iterable, read: Callable) -> list:
-    """``read`` of each rational; a ``str`` or ``bytes``, which would give one
-    coordinate per character, raises ``ValueError``."""
-    if isinstance(values, (str, bytes)):
+    """``read`` of each coordinate; a ``str`` or ``bytes``, which would give one
+    coordinate per character, and a set or mapping, which would give its keys
+    in iteration order, raise ``ValueError``.  A tuple or list, the common
+    case, skips the check against the two ABCs, which is several times
+    slower than one against concrete types."""
+    if not isinstance(values, (tuple, list)) and isinstance(values, (str, bytes, Set, Mapping)):
         raise ValueError(f"cannot read {type(values).__name__} {excerpt(repr(values))} as a sequence of rationals")
     return [read(v) for v in values]
 
@@ -97,6 +107,77 @@ class Grading(NamedTuple):
 
     def grade(self, vector: Sequence) -> Fraction:
         return dot(self.weights, as_element(vector))
+
+
+class NumericalMonoid:
+    """Membership oracle for the monoid generated by coprime positive ints.
+
+    Membership is read off the Apéry set of the smallest generator ``m``:
+    ``apery[r]`` is the least member congruent to ``r`` modulo ``m``, and an
+    integer ``n`` is a member exactly when ``n >= apery[n % m]``, since
+    adding ``m`` keeps the residue.  The set is built by round robin, one
+    generator ``g`` at a time: adding ``g`` splits the ``m`` residues into
+    ``gcd(g, m)`` cycles, and one walk around each cycle from its least
+    known entry settles it, so ``k`` generators take ``O(k m)`` steps
+    however far out the gaps reach (Böcker & Lipták, *A fast and simple
+    algorithm for the money changing problem*, Algorithmica 48, 2007).
+    A generator that is not an ``int`` (a ``bool`` included) raises
+    ``ValueError``.
+    """
+
+    def __init__(self, generators: Sequence[int]):
+        gens = tuple(sorted({integer(g, "generator") for g in generators}))
+        if not gens or gens[0] < 1:
+            raise ValueError("generators must be positive integers")
+        if math.gcd(*gens) != 1:
+            raise ValueError(
+                f"generators {excerpt(gens)} have gcd {excerpt(math.gcd(*gens))}; "
+                "membership beyond the table would be undecidable"
+            )
+        self.generators = gens
+        m = gens[0]
+        if m > linalg.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
+            raise BudgetExceeded(f"smallest generator {excerpt(m)} exceeds the budget of {linalg.MAX_STEPS} steps")
+        # every known Apéry entry is at most (m - 1) * g_max, and a walk adds at
+        # most g_max at most m - 1 times, so no walk from a known entry reaches
+        # this sentinel; a walk around a cycle that no member reaches yet starts
+        # on it, stays on it and writes nothing
+        unknown = 2 * m * gens[-1]
+        apery = [0] + [unknown] * (m - 1)
+        for g in gens[1:]:
+            cycles = math.gcd(g, m)
+            for start in range(cycles):
+                n = min(apery[start::cycles])
+                for _ in range(m // cycles - 1):
+                    n += g
+                    p = n % m
+                    if apery[p] < n:
+                        n = apery[p]
+                    else:
+                        apery[p] = n
+        self._apery = tuple(apery)
+
+    @property
+    def frontier(self) -> int:
+        """The conductor: every integer at or beyond this bound is a member."""
+        return max(self._apery) - self.generators[0] + 1
+
+    def contains(self, n: int) -> bool:
+        return n >= self._apery[n % self.generators[0]]
+
+    def __contains__(self, n: int) -> bool:
+        return self.contains(n)
+
+    def gaps(self) -> tuple[int, ...]:
+        """The finitely many nonnegative integers outside the monoid; a
+        conductor past ``factolab.linalg.MAX_STEPS`` raises BudgetExceeded."""
+        frontier = self.frontier
+        if frontier > linalg.MAX_STEPS:  # checked before the candidates are scanned
+            raise BudgetExceeded(f"conductor {frontier} exceeds the budget of {linalg.MAX_STEPS} steps")
+        return tuple(n for n in range(frontier) if not self.contains(n))
+
+    def __repr__(self) -> str:
+        return f"NumericalMonoid{self.generators}"
 
 
 class MonoidPresentation(Frozen):
@@ -123,7 +204,7 @@ class MonoidPresentation(Frozen):
     @classmethod
     def from_values(cls, values: Sequence, label: Optional[str] = None) -> "MonoidPresentation":
         """Convenience constructor for submonoids of Q: one rational per generator."""
-        return cls.from_generators([[v] for v in values], label)
+        return cls(1, tuple((q,) for q in _coordinates(values, parse_rational)), label)
 
     @property
     def atom_count(self) -> int:
@@ -139,10 +220,8 @@ class MonoidPresentation(Frozen):
         """``(unit, numerical)`` of a monoid of positive rationals, built on first use and kept.
 
         A rational ``x`` lies in the monoid iff ``x / unit`` is a nonnegative
-        integer in the :class:`~factolab.semiring.NumericalMonoid` ``numerical``.
+        integer in the :class:`NumericalMonoid` ``numerical``.
         """
-        from .semiring import NumericalMonoid  # semiring imports this module
-
         if self.ambient_dim != 1:
             raise ValueError("exponent monoids must be one-dimensional")
         values = [g[0] for g in self.generators]
@@ -157,12 +236,11 @@ class MonoidPresentation(Frozen):
         """The element sum_i exponents[i] * generator[i].  An exponent may be
         negative, as in a kernel vector; one that is not an ``int`` (a ``bool``
         included) raises ``ValueError``."""
+        exponents = _coordinates(exponents, lambda m: integer(m, "exponent"))
         if len(exponents) != self.atom_count:
             raise DimensionMismatch("exponent vector length does not match generator count")
         out = [Fraction(0)] * self.ambient_dim
         for m, g in zip(exponents, self.generators):
-            if not isinstance(m, int) or isinstance(m, bool):
-                raise ValueError(f"exponent {excerpt(repr(m))} is not an integer")
             if m:
                 for i in range(self.ambient_dim):
                     out[i] += m * g[i]

@@ -30,12 +30,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .classify import FactorizationRelation
 from . import linalg
-from .linalg import BudgetExceeded, InternalContradiction, Rational, excerpt, format_rational, parse_rational
-from .monoid import MonoidPresentation, NotAnAtom
+from .linalg import BudgetExceeded, InternalContradiction, Rational, excerpt, format_rational, integer, parse_rational
+from .monoid import MonoidPresentation, NotAnAtom, NumericalMonoid
 
 __all__ = [
     "AlgebraWitness",
@@ -52,7 +52,6 @@ __all__ = [
     "poly_divide_exact",
     "poly_mul",
     "poly_pow",
-    "rank_one_membership",
 ]
 
 
@@ -61,83 +60,8 @@ class InvalidPair(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# numerical monoids
+# exponent monoids
 # ---------------------------------------------------------------------------
-
-
-class NumericalMonoid:
-    """Membership oracle for the monoid generated by coprime positive ints.
-
-    Membership is read off the Apéry set of the smallest generator ``m``:
-    ``apery[r]`` is the least member congruent to ``r`` modulo ``m``, and an
-    integer ``n`` is a member exactly when ``n >= apery[n % m]``, since
-    adding ``m`` keeps the residue.  The set is built by round robin, one
-    generator ``g`` at a time: adding ``g`` splits the ``m`` residues into
-    ``gcd(g, m)`` cycles, and one walk around each cycle from its least
-    known entry settles it, so ``k`` generators take ``O(k m)`` steps
-    however far out the gaps reach (Böcker & Lipták, *A fast and simple
-    algorithm for the money changing problem*, Algorithmica 48, 2007).
-    A generator that is not an ``int`` (a ``bool`` included) raises
-    ``ValueError``.
-    """
-
-    def __init__(self, generators: Sequence[int]):
-        gens = tuple(generators)
-        for g in gens:
-            if not isinstance(g, int) or isinstance(g, bool):
-                raise ValueError(f"generator {excerpt(repr(g))} is not an integer")
-        gens = tuple(sorted(set(gens)))
-        if not gens or gens[0] < 1:
-            raise ValueError("generators must be positive integers")
-        if gcd(*gens) != 1:
-            raise ValueError(
-                f"generators {excerpt(gens)} have gcd {excerpt(gcd(*gens))}; "
-                "membership beyond the table would be undecidable"
-            )
-        self.generators = gens
-        m = gens[0]
-        if m > linalg.MAX_STEPS:  # checked before the Apéry set of m residues is allocated
-            raise BudgetExceeded(f"smallest generator {excerpt(m)} exceeds the budget of {linalg.MAX_STEPS} steps")
-        # every known Apéry entry is at most (m - 1) * g_max, and a walk adds at
-        # most g_max at most m - 1 times, so no walk from a known entry reaches
-        # this sentinel; a walk around a cycle that no member reaches yet starts
-        # on it, stays on it and writes nothing
-        unknown = 2 * m * gens[-1]
-        apery = [0] + [unknown] * (m - 1)
-        for g in gens[1:]:
-            cycles = gcd(g, m)
-            for start in range(cycles):
-                n = min(apery[start::cycles])
-                for _ in range(m // cycles - 1):
-                    n += g
-                    p = n % m
-                    if apery[p] < n:
-                        n = apery[p]
-                    else:
-                        apery[p] = n
-        self._apery = tuple(apery)
-
-    @property
-    def frontier(self) -> int:
-        """The conductor: every integer at or beyond this bound is a member."""
-        return max(self._apery) - self.generators[0] + 1
-
-    def contains(self, n: int) -> bool:
-        return n >= self._apery[n % self.generators[0]]
-
-    def __contains__(self, n: int) -> bool:
-        return self.contains(n)
-
-    def gaps(self) -> tuple[int, ...]:
-        """The finitely many nonnegative integers outside the monoid; a
-        conductor past ``factolab.linalg.MAX_STEPS`` raises BudgetExceeded."""
-        frontier = self.frontier
-        if frontier > linalg.MAX_STEPS:  # checked before the candidates are scanned
-            raise BudgetExceeded(f"conductor {frontier} exceeds the budget of {linalg.MAX_STEPS} steps")
-        return tuple(n for n in range(frontier) if not self.contains(n))
-
-    def __repr__(self) -> str:
-        return f"NumericalMonoid{self.generators}"
 
 
 _NATURALS = (Fraction(1), NumericalMonoid([1]))
@@ -146,13 +70,6 @@ _NATURALS = (Fraction(1), NumericalMonoid([1]))
 def _rank_one_scaling(exponent_monoid: Optional[MonoidPresentation]):
     """``(unit, numerical)`` of an exponent monoid; ``None`` is ``N0``."""
     return _NATURALS if exponent_monoid is None else exponent_monoid.rank_one
-
-
-def rank_one_membership(presentation: MonoidPresentation, value: Rational) -> bool:
-    """Exact membership test for a one-dimensional monoid presentation."""
-    unit, numerical = presentation.rank_one
-    scaled = parse_rational(value) / unit
-    return scaled.denominator == 1 and numerical.contains(scaled.numerator)
 
 
 def monoid_elements_up_to(
@@ -400,9 +317,7 @@ def poly_pow(f: SemiringPolynomial, power: int) -> SemiringPolynomial:
     where a product of m and n terms is m n steps.  Steps past
     ``linalg.MAX_STEPS`` raise BudgetExceeded before they are made.  A power
     that is not a nonnegative ``int`` raises ``ValueError``."""
-    if not isinstance(power, int) or isinstance(power, bool):
-        raise ValueError(f"power {excerpt(repr(power))} is not an integer")
-    if power < 0:
+    if integer(power, "power") < 0:
         raise ValueError("negative powers are not defined in a semiring")
     over_budget = f"poly_pow exceeded its budget of {linalg.MAX_STEPS} steps"
     if len(f.index_terms) == 1:
@@ -658,8 +573,7 @@ def case1_relation(
     if presentation.ambient_dim != 1:
         raise ValueError("monomial atoms need a one-dimensional monoid")
     for t in (i, j):
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise ValueError(f"atom index {excerpt(repr(t))} is not an integer")
+        integer(t, "atom index")
     k = presentation.atom_count
     if not (0 <= i < k and 0 <= j < k):
         raise ValueError(f"atom indices must lie in 0..{k - 1}, got {excerpt(i)} and {excerpt(j)}")
@@ -745,8 +659,7 @@ def algebra_witness(a: int, b: int) -> AlgebraWitness:
     bug, not bad input.
     """
     for g in (a, b):
-        if not isinstance(g, int) or isinstance(g, bool):
-            raise InvalidPair(f"generator {excerpt(repr(g))} is not an integer")
+        integer(g, "generator", InvalidPair)
     if not (2 <= a < b):
         raise InvalidPair(f"need 2 <= a < b, got a={a}, b={b}")
     if gcd(a, b) != 1:

@@ -20,8 +20,8 @@ from factolab.linalg import (
     format_rational,
     homogeneous_lp_witness,
     integer_kernel,
+    integer_ratio,
     parse_rational,
-    rational_num_den,
     solve_inequalities,
 )
 from factolab.monoid import BudgetExceeded
@@ -40,17 +40,13 @@ from helpers import (
 # ---------------------------------------------------------------------------
 
 
-def test_rational_num_den_lowest_terms():
-    assert rational_num_den(Fraction(4, 6)) == (2, 3)
-    assert rational_num_den("4/6") == (2, 3)
-    assert rational_num_den(7) == (7, 1)
-
-
-def test_rational_num_den_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        rational_num_den(0)
-    with pytest.raises(ValueError):
-        rational_num_den(Fraction(-2, 3))
+def test_integer_ratio_reads_lowest_terms():
+    for value in (Fraction(4, 6), "4/6", " 8/12 "):
+        assert integer_ratio(value) == (2, 3)
+    assert integer_ratio(7) == (7, 1) and integer_ratio("-0.5") == (-1, 2) and integer_ratio(0) == (0, 1)
+    for value in (True, 1.5):
+        with pytest.raises(ValueError, match="as a rational number"):
+            integer_ratio(value)
 
 
 def test_rational_round_trip():

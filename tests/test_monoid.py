@@ -380,6 +380,22 @@ def test_a_string_is_no_element():
     assert enumerate_factorizations(numerical(2, 3), ["12"]) == ((0, 4), (3, 2), (6, 0))
 
 
+PLANE = MonoidPresentation.from_generators([(1, 0), (0, 1), (1, 1)])
+
+
+@pytest.mark.parametrize("call, kind", [
+    (lambda: enumerate_factorizations(PLANE, {Fraction(3), Fraction(1)}), "set"),
+    (lambda: enumerate_factorizations(PLANE, {3: "x", 1: "y"}), "dict"),
+    (lambda: MonoidPresentation.from_values({2: "a", 3: "b"}), "dict"),
+    (lambda: PLANE.evaluate({1, 2, 3}), "set"),
+], ids=["set-element", "dict-element", "dict-values", "set-exponents"])
+def test_a_set_or_mapping_is_no_sequence(call, kind):
+    # each was read in its iteration order: the set element as (1, 3), the dict
+    # ones as their keys, and the exponents {1, 2, 3} gave (4, 5)
+    error, message = raised(call)
+    assert error is ValueError and message.startswith(f"cannot read {kind} {{"), message
+
+
 def naive_box_factorizations(p, x, box):
     """Oracle: search the full multiplicity box, pruning once a coordinate
     overshoots (the generators used here are nonnegative)."""

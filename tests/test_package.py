@@ -74,6 +74,48 @@ def test_no_unused_imports():
     assert [entry for path in modules for entry in _unused_imports(path)] == []
 
 
+def _package_imports() -> dict[str, set[str]]:
+    """Per module of the package but ``__init__``, the package modules that
+    its ``from .x import`` and ``from . import x`` name, inside functions too."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            graph[path.stem] = {
+                name
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for name in ([node.module] if node.module else [alias.name for alias in node.names])
+            }
+    return graph
+
+
+def test_package_imports_run_one_way():
+    # no module imports, at any level, a module that imports it
+    graph = _package_imports()
+    assert "linalg" in graph["monoid"] and "monoid" in graph["semiring"]
+
+    def below(module: str, seen: set[str]) -> set[str]:
+        for name in graph[module] - seen:
+            seen.add(name)
+            below(name, seen)
+        return seen
+
+    assert [module for module in graph if module in below(module, set())] == []
+
+
+def test_the_integer_rule_lives_in_linalg():
+    # every integer argument is read by linalg.integer, so a bool or float is
+    # refused by one rule with one message form
+    found = sorted({
+        path.name
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and any(isinstance(name, ast.Name) and name.id == "bool" for name in ast.walk(node.args[1]))
+    })
+    assert found == ["linalg.py"]
+
+
 def _fresh(code: str) -> list[str]:
     """Run ``code`` in a new interpreter, which must load neither
     ``dataclasses`` nor ``inspect``; the names of the modules it loaded."""
@@ -116,6 +158,8 @@ def test_lazy_table_matches_the_layer_name_lists():
     expected = {name: "construct" for name in construct.__all__}
     expected |= {name: "semiring" for name in semiring.__all__ if name != "InternalContradiction"}
     assert factolab._LAZY == expected
+    # defined in monoid, which rank_one builds it in, and imported back by semiring
+    assert factolab.NumericalMonoid is semiring.NumericalMonoid is factolab.monoid.NumericalMonoid
 
 
 @pytest.mark.parametrize("argv, absent", [

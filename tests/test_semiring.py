@@ -25,7 +25,6 @@ from factolab.semiring import (
     poly_divide_exact,
     poly_mul,
     poly_pow,
-    rank_one_membership,
 )
 
 from helpers import Counted, box_atom_test, dense_divide, dense_mul, dense_trim
@@ -171,7 +170,7 @@ def test_numerical_monoid_size_cap(monkeypatch):
         NumericalMonoid([11, 12])
 
 
-def test_rank_one_membership_with_rational_generators():
+def test_monomial_exponents_in_a_rational_monoid():
     pm = MonoidPresentation.from_values([Fraction(1, 2), Fraction(1, 3)])
     for value, expected in [
         (0, True),
@@ -183,7 +182,11 @@ def test_rank_one_membership_with_rational_generators():
         (2, True),
         (-1, False),
     ]:
-        assert rank_one_membership(pm, value) == expected, value
+        if expected:
+            assert SemiringPolynomial.monomial(value, 1, "N", pm).terms == ((value, 1),), value
+        else:
+            with pytest.raises(ValueError, match=f"^exponent {value} lies outside the monoid$"):
+                SemiringPolynomial.monomial(value, 1, "N", pm)
 
 
 def test_monoid_elements_up_to():
